@@ -2,12 +2,11 @@
 
 Data model and checker (core), text interchange (textio), parametric
 families (constructions), an end-to-end placement/delivery/decoding
-simulator (simulate), and rate/packet-count analysis (analysis).  The
-verifier's pair scan runs on a compiled kernel when built, with a numpy
-fallback selected at import; kernel_backend() reports which one is active.
+simulator (simulate), and rate/packet-count analysis (analysis).  The four
+digit-vector families come from one generator, construct(family, params),
+and the verifier and the decoder share one numpy pair scan.
 """
 
-from ._kernels import backend_name as kernel_backend
 from .analysis import (ComparisonResult, MemoryShareSpec, SchemeMetrics,
                        SchemeRow, compare_general, compare_special,
                        enumerate_schemes, estimate_m_range, memory_share)
@@ -24,6 +23,12 @@ from .simulate import (CacheState, DecodeReport, PacketStore, Transmission,
 from .textio import PdaFormatError, PdaHeader, emit, load, parse, save
 
 __version__ = "0.1.0"
+
+
+def kernel_backend() -> str:
+    """Name of the pair-scan implementation; numpy is the only one."""
+    return "python"
+
 
 __all__ = [
     "STAR", "PdaArray", "PdaError", "PdaParams", "VerificationReport",

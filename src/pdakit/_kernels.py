@@ -1,14 +1,22 @@
-"""Numpy fallback for the same-symbol pair scan.
+"""The same-symbol pair scan.
 
-All intra-group pairs are materialised in one shot (no per-group python
-loop): element e of a group ending at ``end`` pairs, as the first member,
-with the ``end - e - 1`` elements after it.
+It is the hot inner loop of both the validity checker and the decoder's
+cache-membership audit.  All intra-group pairs are materialised in one shot
+(no per-group python loop): element e of a group ending at ``end`` pairs, as
+the first member, with the ``end - e - 1`` elements after it.
 """
 
 import numpy as np
 
 
 def c3_pair_scan(grid, rows, cols, starts):
+    """List (code, j1, k1, j2, k2) for every violating same-symbol pair.
+
+    code 0: the pair shares a row or a column; code 1: one of the two cross
+    cells of the rectangle spanned by the pair is not a star.  ``rows`` and
+    ``cols`` hold the non-star cells grouped by symbol; ``starts`` bounds the
+    groups.  All indices are 0-based.
+    """
     nnz = rows.shape[0]
     if nnz == 0:
         return []

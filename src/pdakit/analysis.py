@@ -33,19 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .constructions import ConstructionParams, Family, theorem_params
+from .constructions import (ConstructionParams, Family, _check_qz, _w,
+                            theorem_params)
 from .core import PdaParams
 
 MAX_EXACT_F_BITS = 4096
-
-
-def _w(q: int, z: int) -> int:
-    return (q - 1) // (q - z)
-
-
-def _check_qz(q: int, z: int) -> None:
-    if q < 2 or not 1 <= z <= q - 1:
-        raise ValueError("need q >= 2 and 1 <= z <= q-1")
 
 
 @dataclass(frozen=True)
@@ -218,14 +210,21 @@ def _solve_binomial(target: int, t: int) -> int | None:
     return m if comb(m, t) == target else None
 
 
+def _divisors(k: int) -> list[int]:
+    """Divisors of k above 1, ascending."""
+    low = [d for d in range(2, math.isqrt(k) + 1) if k % d == 0]
+    return sorted({*low, *(k // d for d in low), k})
+
+
 def enumerate_schemes(k: int, ratio: Fraction,
                       include_dominated: bool = False) -> list[SchemeRow]:
     """All family tuples hitting user count k and memory ratio exactly.
 
-    The search runs q up to k, z below q, and t up to floor(log2 k) + 1;
-    m is solved from each family's user-count equation.  Rows that another
-    row beats or ties on both rate and packet count are dropped unless
-    include_dominated is set.  Result is sorted by ascending rate, then q.
+    The search runs q over the divisors of k (every family's K is a
+    multiple of q), z below q, and t up to floor(log2 k) + 1; m is solved
+    from each family's user-count equation.  Rows that another row beats or
+    ties on both rate and packet count are dropped unless include_dominated
+    is set.  Result is sorted by ascending rate, then q.
     """
     if k < 2:
         raise ValueError("K must be at least 2")
@@ -244,14 +243,14 @@ def enumerate_schemes(k: int, ratio: Fraction,
     # ratio and its complement as reduced integer pairs keeps the scan cheap
     rnum, rden = ratio.numerator, ratio.denominator
     cnum, cden = (1 - ratio).numerator, (1 - ratio).denominator
-    for q in range(2, k + 1):
+    for q in _divisors(k):
         for z in range(1, q):
             w = _w(q, z)
             if z * rden == q * rnum:  # ratio == z/q
-                if k % q == 0 and k // q - 1 >= 1:
+                if k // q - 1 >= 1:
                     # special: K = (m+1) q
                     add(Family.SPECIAL, q, z, k // q - 1, 1)
-                if k % q == 0 and (k // q - 1) % w == 0 and k // q - 1 >= w:
+                if (k // q - 1) % w == 0 and k // q - 1 >= w:
                     # ext-special: K = (m w + 1) q
                     add(Family.EXT_SPECIAL, q, z, (k // q - 1) // w, 1)
             g = math.gcd(q - z, q)

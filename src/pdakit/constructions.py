@@ -1,14 +1,14 @@
 """Parametric families of placement delivery arrays.
 
-Five generators are provided.  The baseline subset family ("mn") indexes
-rows by the t-subsets of the K users: cell (T, k) is a star when k is in T,
-otherwise it carries the symbol of the (t+1)-subset T + {k}.  It reaches the
-lowest rate for its memory point but its packet count C(K, t) explodes with
-K.
+Two generators are provided.  construct_mn builds the baseline subset family
+("mn"), which indexes rows by the t-subsets of the K users: cell (T, k) is a
+star when k is in T, otherwise it carries the symbol of the (t+1)-subset
+T + {k}.  It reaches the lowest rate for its memory point but its packet
+count C(K, t) explodes with K.
 
-The other four families live on digit vectors over Z_q and are driven by a
-generator tuple (q, z, m, t), with z in [1, q-1] the cached fraction
-numerator and w = floor((q-1)/(q-z)) a replication factor:
+construct builds the other four families from one digit-vector rule over
+Z_q, driven by a generator tuple (q, z, m, t), with z in [1, q-1] the cached
+fraction numerator and w = floor((q-1)/(q-z)) a replication factor:
 
     family        K                  F        M/N              R
     general       C(m,t) q^t         w^t q^m  1 - ((q-z)/q)^t  ((q-z)/w)^t
@@ -21,12 +21,15 @@ and e_i in [0, w); columns are (b_0..b_{t-1}, d_0 < .. < d_{t-1} < m) with
 b_i in Z_q.  Cell (a, b) is a star when some a_{d_i} lies in the window
 {b_i, b_i - 1, .., b_i - (z-1)} mod q; otherwise its symbol is the vector a
 with coordinate d_i replaced by b_i - e_i (q-z) and t trailing digits
-a_{d_i} - b_i - 1 (all mod q), encoded as a mixed-radix integer.  "special"
-appends, for t = 1, a closing block of q columns keyed by the digit sum of
-the row.  The "ext" variants move the e digits from the row index to the
-column index, shrinking F to q^m at the price of rate.  Enumeration orders
-(rows: e outermost then a, first digit fastest; columns: d outermost, then
-e, then b) are fixed so a given tuple always yields the identical array.
+a_{d_i} - b_i - 1 (all mod q), encoded as a mixed-radix integer.  The "ext"
+variants move the e digits from the row index to the column index, shrinking
+F to q^m at the price of rate.  The "special" variants fix t = 1 and append a
+closing block of q columns keyed by the row digit sum
+u = (sum(a) - e_0 (q-z)) mod q, with e_0 = 0 for ext-special.  Enumeration
+orders (rows: e outermost then a, first digit fastest; columns: d outermost,
+then e, then b) are fixed so a given tuple always yields the identical
+array.  construct_general, construct_special, construct_ext_general and
+construct_ext_special are shorthands for construct.
 
 theorem_params evaluates the closed-form (K, F, Z, S) of each family in
 exact big-integer arithmetic without building anything, so it stays usable
@@ -81,7 +84,11 @@ class ConstructionParams:
 
     @property
     def w(self) -> int:
-        return (self.q - 1) // (self.q - self.z)
+        return _w(self.q, self.z)
+
+
+def _w(q: int, z: int) -> int:
+    return (q - 1) // (q - z)
 
 
 def _check_qz(q: int, z: int) -> None:
@@ -163,7 +170,13 @@ def _row_digits(idx: np.ndarray, radix: int, count: int,
     return out
 
 
-def _vector_block(A: np.ndarray, E, q: int, z: int, t: int,
+def _digit_tuples(radix: int, count: int) -> list[tuple[int, ...]]:
+    """Every count-digit vector over Z_radix, first digit fastest-varying."""
+    return [tuple((n // radix**i) % radix for i in range(count))
+            for n in range(radix**count)]
+
+
+def _vector_block(A: np.ndarray, E, q: int, z: int,
                   wa: np.ndarray, we: np.ndarray, base: np.ndarray,
                   delta: tuple[int, ...], b: tuple[int, ...]) -> np.ndarray:
     """One column of the digit-vector cell rule; 0 marks the stars.
@@ -193,28 +206,6 @@ def _weights(q: int, z: int, m: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     return wa, we
 
 
-def construct_general(q: int, z: int, m: int, t: int,
-                      max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
-    """Rows (a, e), columns (b, d); F = w^t q^m, K = C(m,t) q^t."""
-    p = ConstructionParams(q, z, m, t)
-    params = theorem_params(Family.GENERAL, p)
-    _check_cap(params, max_cells)
-    w = p.w
-    idx = np.arange(params.f, dtype=np.int64)
-    A = _row_digits(idx, q, m)
-    E = _row_digits(idx, w, t, unit=q**m)
-    wa, we = _weights(q, z, m, t)
-    base = A @ wa
-    grid = np.empty((params.f, params.k), dtype=np.int64)
-    col = 0
-    for delta in itertools.combinations(range(m), t):
-        for beta in range(q**t):
-            b = tuple((beta // q**i) % q for i in range(t))
-            grid[:, col] = _vector_block(A, E, q, z, t, wa, we, base, delta, b)
-            col += 1
-    return PdaArray(grid)
-
-
 def _closing_block(A: np.ndarray, u: np.ndarray, q: int, z: int,
                    base: np.ndarray) -> np.ndarray:
     """The q extra columns keyed by the row digit sum u; t = 1 throughout."""
@@ -228,76 +219,71 @@ def _closing_block(A: np.ndarray, u: np.ndarray, q: int, z: int,
     return block
 
 
-def construct_special(q: int, z: int, m: int,
-                      max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
-    """General t=1 block plus a closing digit-sum block; K = (m+1) q."""
-    p = ConstructionParams(q, z, m, t=1)
-    params = theorem_params(Family.SPECIAL, p)
+def construct(family: Family, p: ConstructionParams,
+              max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
+    """Build a digit-vector family from its generator tuple.
+
+    The e digits index the rows, or the columns for the ext families; columns
+    run over delta, then (ext only) the e digits, then beta.
+    """
+    family = Family(family)
+    if family is Family.MN:
+        raise ParamDomainError("mn takes (K, t); call construct_mn")
+    special = family in (Family.SPECIAL, Family.EXT_SPECIAL)
+    if special:
+        # t is fixed at 1 for these two; a given t is ignored
+        p = ConstructionParams(p.q, p.z, p.m)
+    params = theorem_params(family, p)
     _check_cap(params, max_cells)
-    w = p.w
+    q, z, m, t, w = p.q, p.z, p.m, p.t, p.w
     idx = np.arange(params.f, dtype=np.int64)
     A = _row_digits(idx, q, m)
-    E = _row_digits(idx, w, 1, unit=q**m)
-    wa, we = _weights(q, z, m, 1)
+    if family in (Family.EXT_GENERAL, Family.EXT_SPECIAL):
+        e_choices, e0 = _digit_tuples(w, t), 0
+    else:
+        E = _row_digits(idx, w, t, unit=q**m)
+        e_choices, e0 = [E], E[:, 0]
+    wa, we = _weights(q, z, m, t)
     base = A @ wa
     grid = np.empty((params.f, params.k), dtype=np.int64)
     col = 0
-    for delta in itertools.combinations(range(m), 1):
-        for b in range(q):
-            grid[:, col] = _vector_block(A, E, q, z, 1, wa, we, base,
-                                         delta, (b,))
-            col += 1
-    u = (A.sum(axis=1) - E[:, 0] * (q - z)) % q
-    grid[:, col:] = _closing_block(A, u, q, z, base)
+    betas = _digit_tuples(q, t)
+    for delta in itertools.combinations(range(m), t):
+        for eps in e_choices:
+            for b in betas:
+                grid[:, col] = _vector_block(A, eps, q, z, wa, we, base,
+                                             delta, b)
+                col += 1
+    if special:
+        u = (A.sum(axis=1) - e0 * (q - z)) % q
+        grid[:, col:] = _closing_block(A, u, q, z, base)
     return PdaArray(grid)
+
+
+def construct_general(q: int, z: int, m: int, t: int,
+                      max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
+    """Rows (a, e), columns (d, b); F = w^t q^m, K = C(m,t) q^t."""
+    return construct(Family.GENERAL, ConstructionParams(q, z, m, t), max_cells)
+
+
+def construct_special(q: int, z: int, m: int,
+                      max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
+    """General t=1 block plus a closing digit-sum block; K = (m+1) q."""
+    return construct(Family.SPECIAL, ConstructionParams(q, z, m), max_cells)
 
 
 def construct_ext_general(q: int, z: int, m: int, t: int,
                           max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
     """Rows are bare a-vectors; the e digits move into the column index."""
-    p = ConstructionParams(q, z, m, t)
-    params = theorem_params(Family.EXT_GENERAL, p)
-    _check_cap(params, max_cells)
-    w = p.w
-    idx = np.arange(params.f, dtype=np.int64)
-    A = _row_digits(idx, q, m)
-    wa, we = _weights(q, z, m, t)
-    base = A @ wa
-    grid = np.empty((params.f, params.k), dtype=np.int64)
-    col = 0
-    for delta in itertools.combinations(range(m), t):
-        for eta in range(w**t):
-            eps = tuple((eta // w**i) % w for i in range(t))
-            for beta in range(q**t):
-                b = tuple((beta // q**i) % q for i in range(t))
-                grid[:, col] = _vector_block(A, eps, q, z, t, wa, we, base,
-                                             delta, b)
-                col += 1
-    return PdaArray(grid)
+    return construct(Family.EXT_GENERAL, ConstructionParams(q, z, m, t),
+                     max_cells)
 
 
 def construct_ext_special(q: int, z: int, m: int,
                           max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
     """Ext-general t=1 block plus the closing digit-sum block."""
-    p = ConstructionParams(q, z, m, t=1)
-    params = theorem_params(Family.EXT_SPECIAL, p)
-    _check_cap(params, max_cells)
-    w = p.w
-    idx = np.arange(params.f, dtype=np.int64)
-    A = _row_digits(idx, q, m)
-    wa, we = _weights(q, z, m, 1)
-    base = A @ wa
-    grid = np.empty((params.f, params.k), dtype=np.int64)
-    col = 0
-    for delta in itertools.combinations(range(m), 1):
-        for eps in range(w):
-            for b in range(q):
-                grid[:, col] = _vector_block(A, (eps,), q, z, 1, wa, we, base,
-                                             delta, (b,))
-                col += 1
-    u = A.sum(axis=1) % q
-    grid[:, col:] = _closing_block(A, u, q, z, base)
-    return PdaArray(grid)
+    return construct(Family.EXT_SPECIAL, ConstructionParams(q, z, m),
+                     max_cells)
 
 
 def _subset_rank(sub: tuple[int, ...], k: int) -> int:
@@ -326,21 +312,6 @@ def construct_mn(k: int, t: int,
             if u not in members:
                 grid[j, u - 1] = _subset_rank(tuple(sorted(subset + (u,))), k)
     return PdaArray(grid)
-
-
-def construct(family: Family, p: ConstructionParams,
-              max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
-    """Dispatch a vector family from its generator tuple."""
-    family = Family(family)
-    if family is Family.GENERAL:
-        return construct_general(p.q, p.z, p.m, p.t, max_cells)
-    if family is Family.SPECIAL:
-        return construct_special(p.q, p.z, p.m, max_cells)
-    if family is Family.EXT_GENERAL:
-        return construct_ext_general(p.q, p.z, p.m, p.t, max_cells)
-    if family is Family.EXT_SPECIAL:
-        return construct_ext_special(p.q, p.z, p.m, max_cells)
-    raise ParamDomainError("mn takes (K, t); call construct_mn")
 
 
 def standard_sweep(max_cells: int = 1_000_000):

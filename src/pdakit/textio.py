@@ -40,6 +40,10 @@ class PdaFormatError(ValueError):
         super().__init__(where + message)
 
 
+# symbols are stored as int32
+SYMBOL_MAX = int(np.iinfo(np.int32).max)
+
+
 class PdaHeader(NamedTuple):
     k: int
     f: int
@@ -47,7 +51,8 @@ class PdaHeader(NamedTuple):
     s: int
 
 
-def _int_token(tok: str, lineno: int, col: int, what: str, minimum: int) -> int:
+def _int_token(tok: str, lineno: int, col: int, what: str, minimum: int,
+               maximum: int | None = None) -> int:
     try:
         value = int(tok, 10)
     except ValueError:
@@ -55,6 +60,9 @@ def _int_token(tok: str, lineno: int, col: int, what: str, minimum: int) -> int:
     if value < minimum:
         raise PdaFormatError(
             f"{what} {tok!r} must be at least {minimum}", lineno, col)
+    if maximum is not None and value > maximum:
+        raise PdaFormatError(
+            f"{what} {tok!r} must be at most {maximum}", lineno, col)
     return value
 
 
@@ -99,7 +107,8 @@ def parse_with_header(text: str) -> tuple[PdaArray, PdaHeader]:
             if tok == "*":
                 grid[j, c] = STAR
             else:
-                grid[j, c] = _int_token(tok, lno, c + 1, "symbol", 1)
+                grid[j, c] = _int_token(tok, lno, c + 1, "symbol", 1,
+                                        SYMBOL_MAX)
     return PdaArray(grid), header
 
 

@@ -1,5 +1,6 @@
 """Memory sharing, baseline comparisons, scheme enumeration."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -245,6 +246,22 @@ class TestEnumerate:
                     assert p.k == k and p.rate == r.rate and p.f == r.f
                     checked += 1
         assert checked >= 5
+
+    @pytest.mark.parametrize("k, ratio, count, digest", [
+        (720, Fraction(1, 2), 92,
+         "c94dffc06dbc80c36dc5fa6d6249f52b989ba80e23f89f026ea309dbae1c9457"),
+        (864, Fraction(5, 9), 34,
+         "1e1f73d528ec81aa0465e5de3f5e805994bd2c37192476d29c6df96cb61d3cb5"),
+    ])
+    def test_full_search_matches_recorded_output(self, k, ratio, count,
+                                                 digest):
+        # recorded from the exhaustive q <= K search, before it was
+        # narrowed to the divisors of K
+        rows = enumerate_schemes(k, ratio, include_dominated=True)
+        keys = [(r.family.value, r.q, r.z, r.m, r.t, str(r.rate), r.f)
+                for r in rows]
+        assert len(rows) == count
+        assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
 
     def test_impossible_target_is_empty(self):
         assert enumerate_schemes(3, Fraction(1, 2)) == []

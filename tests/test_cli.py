@@ -89,6 +89,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(bad))
         assert code == 2 and "parse error" in err
 
+    def test_oversized_symbol_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "big.pda"
+        bad.write_text("2 2 1 1\n* 3000000000\n1 *\n")
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 2
+        assert "parse error: line 2, token 2" in err
+
     def test_empty_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "empty.pda"
         bad.write_text("")

@@ -1,6 +1,7 @@
 """Family generators against checked-in arrays, counting oracles, and the
 closed-form parameter evaluator."""
 
+import hashlib
 import math
 from fractions import Fraction
 from math import comb
@@ -15,6 +16,12 @@ from pdakit import (ConstructionParams, Family, ParamDomainError, PdaParams,
                     parse, standard_sweep, theorem_params, verify_pda)
 
 P_3221 = ConstructionParams(3, 2, 2, 1)
+
+# SHA-256 over every standard_sweep() array and mn(4,2), mn(6,3), mn(8,4),
+# recorded from the four separate digit-vector constructors before they
+# were merged into construct
+SWEEP_DIGEST = (
+    "f26d3e393c157777bacebee58fea85ccb122be53faf7cbb1293d324b5840e02e")
 
 
 class TestGoldenArrays:
@@ -192,6 +199,16 @@ class TestSweepAndSpecializations:
         assert len(combos) > 150
         assert all(theorem_params(f, p).f * theorem_params(f, p).k <= 10**6
                    for f, p in combos)
+
+    def test_sweep_arrays_unchanged(self):
+        h = hashlib.sha256()
+        for family, p in standard_sweep():
+            h.update(repr((family.value, (p.q, p.z, p.m, p.t))).encode())
+            h.update(construct(family, p).grid.tobytes())
+        for k, t in [(4, 2), (6, 3), (8, 4)]:
+            h.update(repr(("mn", (k, t))).encode())
+            h.update(construct_mn(k, t).grid.tobytes())
+        assert h.hexdigest() == SWEEP_DIGEST
 
     def test_small_sweep_verifies_and_counts(self):
         for family, p in standard_sweep(max_cells=4000):

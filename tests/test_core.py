@@ -8,8 +8,6 @@ import pytest
 from helpers import fixture_text, naive_check
 from pdakit import (PdaArray, PdaError, PdaParams, canonicalize, equivalent,
                     params_of, parse, verify_pda)
-from pdakit.core import _nonzero_sorted
-from pdakit import _kernels
 
 MN_4_2 = parse(fixture_text("mn_k4_t2.pda"))
 GEN_18x6 = parse(fixture_text("general_q3_z2_m2_t1.pda"))
@@ -101,7 +99,7 @@ class TestVerify:
         b = verify_pda(PdaArray.from_rows(rows))
         assert a == b
 
-    def test_matches_naive_oracle_on_corrupted_grids(self, kernel_backend):
+    def test_matches_naive_oracle_on_corrupted_grids(self):
         rng = np.random.default_rng(7)
         base = GEN_18x6.to_rows()
         for _ in range(25):
@@ -190,14 +188,3 @@ class TestEquivalent:
         a = PdaArray.from_rows([["*", 1]])
         b = PdaArray.from_rows([[1, "*"]])
         assert not equivalent(a, b)
-
-
-class TestKernelBackends:
-    def test_backends_agree(self, kernel_backend):
-        for rows in ([[1, 1]], [[1, 2], [2, 1]], MN_4_2.to_rows(),
-                     GEN_18x6.to_rows()):
-            arr = PdaArray.from_rows(rows)
-            nz = _nonzero_sorted(arr.grid)
-            got = _kernels.c3_pair_scan(arr.grid, nz[0], nz[1], nz[3])
-            assert got == _kernels.pyscan.c3_pair_scan(
-                arr.grid, nz[0], nz[1], nz[3])

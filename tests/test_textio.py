@@ -53,6 +53,14 @@ class TestParse:
         with pytest.raises(PdaFormatError, match="at least 1"):
             parse("2 1 0 2\n1 -3\n")
 
+    def test_symbol_beyond_int32_rejected(self):
+        with pytest.raises(PdaFormatError, match="at most 2147483647") as err:
+            parse("2 2 1 1\n* 3000000000\n1 *\n")
+        assert err.value.line == 2 and err.value.column == 2
+
+    def test_largest_int32_symbol_parses(self):
+        assert parse("1 1 0 1\n2147483647\n").to_rows() == [[2147483647]]
+
     def test_wrong_row_count(self):
         with pytest.raises(PdaFormatError, match="data rows"):
             parse("2 3 1 1\n* 1\n1 *\n")
