@@ -4,7 +4,8 @@ Data model and checker (core), text interchange (textio), parametric
 families (constructions), an end-to-end placement/delivery/decoding
 simulator (simulate), and rate/packet-count analysis (analysis).  The four
 digit-vector families come from one generator, construct(family, params),
-and the verifier and the decoder share one numpy pair scan.
+and the verifier and the decoder read condition C3 from one classifier over
+a numpy pair scan.
 """
 
 from .analysis import (ComparisonResult, MemoryShareSpec, SchemeMetrics,

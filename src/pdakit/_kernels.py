@@ -1,19 +1,21 @@
-"""The same-symbol pair scan.
+"""The same-symbol pair scan behind condition C3.
 
-It is the hot inner loop of both the validity checker and the decoder's
-cache-membership audit.  All intra-group pairs are materialised in one shot
-(no per-group python loop): element e of a group ending at ``end`` pairs, as
-the first member, with the ``end - e - 1`` elements after it.
+It is the hot inner loop of the C3 classifier in ``core``, which the
+validity checker and the decoder's cache audit both read.  All intra-group
+pairs are materialised in one shot (no per-group python loop): element e of
+a group ending at ``end`` pairs, as the first member, with the
+``end - e - 1`` elements after it.
 """
 
 import numpy as np
 
 
 def c3_pair_scan(grid, rows, cols, starts):
-    """List (code, j1, k1, j2, k2) for every violating same-symbol pair.
+    """List (j1, k1, j2, k2) for every same-symbol pair that breaks C3.
 
-    code 0: the pair shares a row or a column; code 1: one of the two cross
-    cells of the rectangle spanned by the pair is not a star.  ``rows`` and
+    A pair is bad when one of the two cross cells (j1, k2), (j2, k1) of the
+    rectangle it spans is not a star.  A pair sharing a row or a column has
+    its own cells as cross cells, so it is always bad.  ``rows`` and
     ``cols`` hold the non-star cells grouped by symbol; ``starts`` bounds the
     groups.  All indices are 0-based.
     """
@@ -32,10 +34,6 @@ def c3_pair_scan(grid, rows, cols, starts):
 
     r1, c1 = rows[first], cols[first]
     r2, c2 = rows[second], cols[second]
-    same = (r1 == r2) | (c1 == c2)
-    cross = ~same & ((grid[r1, c2] != 0) | (grid[r2, c1] != 0))
-    bad = np.flatnonzero(same | cross)
-    return [
-        (0 if same[p] else 1, int(r1[p]), int(c1[p]), int(r2[p]), int(c2[p]))
-        for p in bad
-    ]
+    bad = np.flatnonzero((grid[r1, c2] != 0) | (grid[r2, c1] != 0))
+    return list(zip(r1[bad].tolist(), c1[bad].tolist(),
+                    r2[bad].tolist(), c2[bad].tolist()))

@@ -230,9 +230,6 @@ def construct(family: Family, p: ConstructionParams,
     if family is Family.MN:
         raise ParamDomainError("mn takes (K, t); call construct_mn")
     special = family in (Family.SPECIAL, Family.EXT_SPECIAL)
-    if special:
-        # t is fixed at 1 for these two; a given t is ignored
-        p = ConstructionParams(p.q, p.z, p.m)
     params = theorem_params(family, p)
     _check_cap(params, max_cells)
     q, z, m, t, w = p.q, p.z, p.m, p.t, p.w

@@ -168,6 +168,22 @@ def _nonzero_sorted(grid: np.ndarray):
     return rows, cols, uniq.astype(np.int64), starts
 
 
+def _c3_faults(grid: np.ndarray, rows, cols, starts):
+    """Yield (symbol, (j1, k1), (j2, k2), uncached) per pair breaking C3.
+
+    ``rows``, ``cols`` and ``starts`` come from _nonzero_sorted; pairs come
+    in its order: by symbol, then by the (column, row) of the first cell,
+    then of the second.  ``uncached`` lists the cross cells (j1, k2) and
+    (j2, k1) that are not stars, in that order.  A star at (j1, k2) is user
+    k2 caching the packet of the term at (j1, k1), so one list serves the
+    verifier and the decoder's cache audit.  All indices are 0-based.
+    """
+    for r1, c1, r2, c2 in _kernels.c3_pair_scan(grid, rows, cols, starts):
+        uncached = tuple(cell for cell in ((r1, c2), (r2, c1))
+                         if grid[cell] != STAR)
+        yield int(grid[r1, c1]), (r1, c1), (r2, c2), uncached
+
+
 def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
                declared_s: int | None = None) -> VerificationReport:
     """Check C1-C3 and report every violation, not just the first.
@@ -216,23 +232,16 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
 
     # C3: same-symbol pair scan
     c3 = []
-    for code, r1, c1, r2, c2 in _kernels.c3_pair_scan(grid, rows, cols, starts):
-        s = int(grid[r1, c1])
+    for s, (r1, c1), (r2, c2), uncached in _c3_faults(grid, rows, cols, starts):
         loc = ((r1 + 1, c1 + 1), (r2 + 1, c2 + 1))
-        if code == 0:
+        if r1 == r2 or c1 == c2:
             axis = "row" if r1 == r2 else "column"
             n = (r1 if r1 == r2 else c1) + 1
             c3.append(Violation("C3a", loc, f"symbol {s} repeats in {axis} {n}"))
         else:
-            missing = []
-            if grid[r1, c2] != STAR:
-                missing.append(f"({r1 + 1},{c2 + 1})")
-            if grid[r2, c1] != STAR:
-                missing.append(f"({r2 + 1},{c1 + 1})")
+            missing = ", ".join(f"({r + 1},{c + 1})" for r, c in uncached)
             c3.append(Violation(
-                "C3b", loc,
-                f"symbol {s}: cross cell(s) {', '.join(missing)} not a star",
-            ))
+                "C3b", loc, f"symbol {s}: cross cell(s) {missing} not a star"))
     c3.sort(key=lambda v: (v.condition, v.locations))
     violations.extend(c3)
     return VerificationReport(tuple(violations))

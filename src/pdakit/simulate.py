@@ -24,8 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
-from .core import STAR, PdaArray, _nonzero_sorted
+from .core import STAR, PdaArray, _c3_faults, _nonzero_sorted
 
 DEFAULT_PACKET_SIZE = 64
 
@@ -151,40 +150,45 @@ def place(arr: PdaArray, store: PacketStore) -> CacheState:
     return CacheState(star_rows, store.n_files, store.packet_size)
 
 
+def _slots(arr: PdaArray, store: PacketStore, d: np.ndarray):
+    """Non-star cells sorted by (symbol, column, row), each cell's demanded
+    packet, the slot symbols and each slot's 1-based (user, row) terms."""
+    rows, cols, symbols, starts = _nonzero_sorted(arr.grid)
+    gathered = store.data[d[cols] - 1, rows]
+    terms = list(zip((cols + 1).tolist(), (rows + 1).tolist()))
+    bounds = starts.tolist()
+    slot_terms = [tuple(terms[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return rows, cols, starts, gathered, symbols.tolist(), slot_terms
+
+
 def deliver(arr: PdaArray, store: PacketStore, demand) -> TransmissionLog:
     """Broadcast one XOR payload per symbol, ascending symbol order."""
     _check_store(arr, store)
     d = _check_demand(arr, store, demand)
-    rows, cols, symbols, starts = _nonzero_sorted(arr.grid)
-    if symbols.size == 0:
+    _, _, starts, gathered, symbols, slot_terms = _slots(arr, store, d)
+    if not symbols:
         return TransmissionLog((), store.packet_size)
-    gathered = store.data[d[cols] - 1, rows]
     payloads = np.bitwise_xor.reduceat(gathered, starts[:-1], axis=0)
-    transmissions = []
-    for g, s in enumerate(symbols):
-        lo, hi = starts[g], starts[g + 1]
-        terms = tuple(
-            (int(cols[i]) + 1, int(rows[i]) + 1) for i in range(lo, hi)
-        )
-        transmissions.append(
-            Transmission(int(s), terms, payloads[g].tobytes()))
-    return TransmissionLog(tuple(transmissions), store.packet_size)
+    return TransmissionLog(tuple(
+        Transmission(s, terms, payload.tobytes())
+        for s, terms, payload in zip(symbols, slot_terms, payloads)
+    ), store.packet_size)
 
 
 def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
                       log: TransmissionLog) -> DecodeReport:
     """Decode every user's file from cache plus log and compare bit-exactly.
 
-    Cache membership of every cancellation term is audited via the pair
-    scan: a same-symbol pair whose cross cell is not a star is exactly a
-    packet some decoder would need but does not hold.  Only when all terms
-    of a slot are cached is the XOR identity applied.
+    Cache membership of every cancellation term is audited with the C3
+    classifier the verifier uses: a same-symbol pair whose cross cell is not
+    a star is exactly a packet some decoder would need but does not hold.
+    Only when all terms of a slot are cached is the XOR identity applied.
     """
     _check_store(arr, store)
     d = _check_demand(arr, store, demand)
     grid = arr.grid
     f, k = arr.f, arr.k
-    rows, cols, symbols, starts = _nonzero_sorted(grid)
+    rows, cols, starts, gathered, symbols, slot_terms = _slots(arr, store, d)
 
     user_problems: dict[int, list[str]] = {u: [] for u in range(k)}
     global_problems: list[str] = []
@@ -194,46 +198,33 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     if log.packet_size != store.packet_size:
         global_problems.append(
             f"log packet size {log.packet_size} != store {store.packet_size}")
-    if list(by_symbol) != [int(s) for s in symbols]:
+    if list(by_symbol) != symbols:
         global_problems.append("log symbols do not match the array")
     else:
-        for g, s in enumerate(symbols):
-            t = by_symbol[int(s)]
-            lo, hi = starts[g], starts[g + 1]
-            expect = tuple(
-                (int(cols[i]) + 1, int(rows[i]) + 1) for i in range(lo, hi))
+        for s, expect in zip(symbols, slot_terms):
+            t = by_symbol[s]
             if t.terms != expect or len(t.payload) != store.packet_size:
-                global_problems.append(f"log entry for symbol {int(s)} "
+                global_problems.append(f"log entry for symbol {s} "
                                        "does not match the array")
                 break
 
     # cache-membership audit: every cancellation term must be held
-    for code, r1, c1, r2, c2 in _kernels.c3_pair_scan(grid, rows, cols, starts):
-        s = int(grid[r1, c1])
-        if code == 0:
-            if c1 == c2:
-                msg = (f"symbol {s} occurs twice in column {c1 + 1} "
-                       f"(rows {r1 + 1}, {r2 + 1}): own packets collide")
-                user_problems[c1].append(msg)
+    for s, (r1, c1), (r2, c2), uncached in _c3_faults(grid, rows, cols, starts):
+        if c1 == c2:
+            user_problems[c1].append(
+                f"symbol {s} occurs twice in column {c1 + 1} "
+                f"(rows {r1 + 1}, {r2 + 1}): own packets collide")
+            continue
+        # user c lacks the packet of the pair's other term in row r
+        for r, c in uncached:
+            if r1 == r2:
+                why = (f"shares row {r + 1} with user {c + 1}'s own term: "
+                       "not cached")
             else:
-                # same-row pair: each decoder needs the other's packet, and
-                # its own cell in that row is the symbol, not a star
-                for user, (orow, ocol) in ((c1, (r2, c2)), (c2, (r1, c1))):
-                    user_problems[user].append(
-                        f"packet (file {int(d[ocol])}, row {orow + 1}) needed "
-                        f"for symbol {s} shares row {r1 + 1} with user "
-                        f"{user + 1}'s own term: not cached")
-        else:
-            if grid[r1, c2] != STAR:
-                user_problems[c2].append(
-                    f"packet (file {int(d[c1])}, row {r1 + 1}) needed for "
-                    f"symbol {s} is not cached: cell ({r1 + 1},{c2 + 1}) "
-                    "is not a star")
-            if grid[r2, c1] != STAR:
-                user_problems[c1].append(
-                    f"packet (file {int(d[c2])}, row {r2 + 1}) needed for "
-                    f"symbol {s} is not cached: cell ({r2 + 1},{c1 + 1}) "
-                    "is not a star")
+                why = f"is not cached: cell ({r + 1},{c + 1}) is not a star"
+            user_problems[c].append(
+                f"packet (file {d[c1 if c == c2 else c2]}, row {r + 1}) "
+                f"needed for symbol {s} {why}")
 
     # byte-level replay: payload XOR (all cached other terms) per cell
     decodable = not global_problems
@@ -242,18 +233,14 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     for u in range(k):
         sr = cache.star_rows[u]
         assembled[u, sr] = store.data[d[u] - 1, sr]
-    if decodable and symbols.size:
-        gathered = store.data[d[cols] - 1, rows]
-        totals = np.bitwise_xor.reduceat(gathered, starts[:-1], axis=0)
-        counts = np.diff(starts)
-        payload_rep = np.repeat(
-            np.frombuffer(
-                b"".join(by_symbol[int(s)].payload for s in symbols),
-                dtype=np.uint8,
-            ).reshape(symbols.size, store.packet_size),
-            counts, axis=0)
-        totals_rep = np.repeat(totals, counts, axis=0)
-        decoded = payload_rep ^ totals_rep ^ gathered
+    if decodable and symbols:
+        payloads = np.frombuffer(
+            b"".join(by_symbol[s].payload for s in symbols), dtype=np.uint8,
+        ).reshape(len(symbols), store.packet_size)
+        # a slot's payload XOR all of its terms; each cell XORs its own back
+        rest = payloads ^ np.bitwise_xor.reduceat(gathered, starts[:-1], axis=0)
+        decoded = np.repeat(rest, np.diff(starts), axis=0)
+        decoded ^= gathered
         assembled[cols, rows] = decoded
 
     users = []

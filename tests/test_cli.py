@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, presets, exit codes."""
 
+import hashlib
+
 import pytest
 
 from helpers import FIXTURES, fixture_text
@@ -32,6 +34,13 @@ class TestConstruct:
                            "--q", "3", "--z", "2", "--m", "2", "--t", "2")
         assert code == 2
         assert "t must" in err
+
+    def test_special_family_given_t_exit_2(self, capsys):
+        code, out, err = run(capsys, "construct", "--family", "special",
+                             "--q", "3", "--z", "2", "--m", "2", "--t", "2")
+        assert code == 2
+        assert out == ""
+        assert "fixes t = 1" in err
 
     def test_cap_exit_3(self, capsys):
         code, _, err = run(capsys, "construct", "--family", "special",
@@ -148,6 +157,161 @@ class TestSimulate:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+def corrupted(tmp_path, fixture, edits):
+    """Copy a fixture with cells (row, column) set to new tokens, 1-based."""
+    lines = fixture_text(fixture).splitlines()
+    body = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    for row, col, token in edits:
+        cells = lines[body[row]].split()  # body[0] is the header
+        cells[col - 1] = token
+        lines[body[row]] = " ".join(cells)
+    path = tmp_path / fixture
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+# corrupted arrays for the C3 gate: each breaks C3 in one way
+C3_CASES = {
+    "special-row": ("special_q3_z2_m2.pda", [(1, 8, "3")]),
+    "special-column": ("special_q3_z2_m2.pda", [(3, 2, "5")]),
+    "special-star": ("special_q3_z2_m2.pda", [(1, 1, "1")]),
+    "special-two-cross": ("special_q3_z2_m2.pda", [(1, 3, "4")]),
+    "mn-row": ("mn_k4_t2.pda", [(1, 3, "2")]),
+    "mn-column": ("mn_k4_t2.pda", [(1, 3, "3")]),
+}
+C3_COMMANDS = {
+    "verify": (),
+    "simulate": ("--seed", "3"),
+    "random": ("--seed", "3", "--random-demands", "3"),
+}
+# SHA-256 of the stdout of each (case, command), recorded before the
+# verifier and the decoder shared one C3 classifier
+C3_DIGESTS = {
+    ("mn-column", "random"):
+        "ccc7b31f03284acff9351e0060bfac97d8f20d825f17cdc2683e93dbc8235d9a",
+    ("mn-column", "simulate"):
+        "1cefbb1c59d9a1c39c201a81adb897ee132f8d99a0da3a838934d061aae4b419",
+    ("mn-column", "verify"):
+        "1af248e5cbe1ca3207b55f6c2e5338fbbd56de59b0456309da1ace50c95b05df",
+    ("mn-row", "random"):
+        "c4038a2d30a083d2fa5f966b541ca2af7f4fec48fd58919f6c9e02a71a9f6e95",
+    ("mn-row", "simulate"):
+        "1914087b74d074587c652d465c7bbf1fd5e8a1b560d65504bf003784dee38588",
+    ("mn-row", "verify"):
+        "dc1ca3dda2e2e99c04b3acdbd46e0c79b3bee3ca2fb0067d5201354a8f61af7b",
+    ("special-column", "random"):
+        "ffc90eb77d4c0e6b926d2234f6eae60cc8078d0a01d91eec809b49584f57db71",
+    ("special-column", "simulate"):
+        "b915569453a516d90737eb2ab8389b1928fb65d29a639fb93800d6614ed50ef2",
+    ("special-column", "verify"):
+        "2ccc99606789f2504afb883452f84f902b563336b83eac805737e037db5803a0",
+    ("special-row", "random"):
+        "e7c6b512dd5794c6f0e892c33e0fb5f315124d0f51e2e6f2b273ddc9d062655c",
+    ("special-row", "simulate"):
+        "d532d0420ca1d0b5e2984d03f027890146bd8cc5649c16a95022a3d0c7884f95",
+    ("special-row", "verify"):
+        "0fc624bd52d7418f78857ea86ec99983d1e7abedc8d6b56df619758dd07bc07b",
+    ("special-star", "random"):
+        "6fff4b5b6cc3ffed07167840c55aee92317e05a317dd5550d7214053bcdd5a01",
+    ("special-star", "simulate"):
+        "b24f67510a3d1636c7b9a67e30b9f7b8bd3795efd9643bab49f3bc07181f4b7f",
+    ("special-star", "verify"):
+        "50c22b79564bf9b5921a3521b77616aa0913735c80ca13f5b1e9474dcb658204",
+    ("special-two-cross", "random"):
+        "692ab27477a38edc165f68913d32c0c89dfe7d40758d8a48e8adf9c0f3cc1ab4",
+    ("special-two-cross", "simulate"):
+        "7f2f90c3498b3d8790d1e08b1c6f2a22bab3f4cb37667e9c3c36060253ee3ee2",
+    ("special-two-cross", "verify"):
+        "fa072271da4a628b059bc2e1c24d117d89203f3d0e5a9a6f93f5bac95575e6f6",
+}
+
+
+class TestC3Gate:
+    @pytest.mark.parametrize("case", sorted(C3_CASES))
+    @pytest.mark.parametrize("command", sorted(C3_COMMANDS))
+    def test_output_unchanged(self, capsys, tmp_path, case, command):
+        path = corrupted(tmp_path, *C3_CASES[case])
+        sub = "verify" if command == "verify" else "simulate"
+        code, out, _ = run(capsys, sub, str(path), *C3_COMMANDS[command])
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            C3_DIGESTS[case, command]
+
+    def test_changed_cell_output(self, capsys, tmp_path):
+        # mn(4,2) with cell (4,1) changed from 1 to 2
+        path = corrupted(tmp_path, "mn_k4_t2.pda", [(4, 1, "2")])
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out.splitlines() == [
+            "invalid: 2 violation(s)",
+            "  C3a (4,1) (5,1) symbol 2 repeats in column 1",
+            "  C3b (4,1) (1,4) symbol 2: cross cell(s) (4,4) not a star",
+        ]
+        code, out, _ = run(capsys, "simulate", str(path), "--seed", "3")
+        assert code == 1
+        assert out.splitlines() == [
+            "seed=3 N=4 packet_size=64",
+            "demand=1,2,3,4",
+            "s=1 terms=(2,2);(3,1) "
+            "payload=d869d5cbba86d10182a762cb342ef65457c43e283b3b23e22bedcd"
+            "7030274c12331c3720496f35557999a1fcf2667536bde2f794700dba066f0a"
+            "912b0741e2f5",
+            "s=2 terms=(1,4);(1,5);(2,3);(4,1) "
+            "payload=a850aeb8322e1748b523063b08fb6471ef02b646a41cdfb1c270d6"
+            "1e3a085d08abf679f99fa388eb1a8aa382280e13af95aa7f96cc0f01f56a03"
+            "00cff1cb1337",
+            "s=3 terms=(1,6);(3,3);(4,2) "
+            "payload=5443bc8a66e47fadb0360aa4160d049bdfbed1aea7c6d47e4fce15"
+            "387f286d24b1df6b482f40b21928443de9fa4a1d0d0a9ac32827ed73f9af11"
+            "53c1c91ed745",
+            "s=4 terms=(2,6);(3,5);(4,4) "
+            "payload=41b86987a13fd29d19434046bbf1f1477630889a80daf0c33d227d"
+            "0e03686b6b39163bbecee72d6459357d80b8593ef2f5044caf92ab3b6e068d"
+            "d06e51fac2a8",
+            "bytes_sent=256 rate=2/3",
+            "user 1 file 1: FAIL symbol 2 occurs twice in column 1 (rows "
+            "4, 5): own packets collide",
+            "user 2 file 2: ok",
+            "user 3 file 3: ok",
+            "user 4 file 4: FAIL packet (file 1, row 4) needed for symbol "
+            "2 is not cached: cell (4,4) is not a star",
+            "decode=FAIL",
+        ]
+        code, out, _ = run(capsys, "simulate", str(path), "--seed", "3",
+                           "--random-demands", "3")
+        assert code == 1
+        assert out.splitlines() == [
+            "seed=3 N=4 packet_size=64",
+            "demand=4,1,1,1",
+            "bytes_sent=256 rate=2/3",
+            "user 1 file 4: FAIL symbol 2 occurs twice in column 1 (rows "
+            "4, 5): own packets collide",
+            "user 2 file 1: ok",
+            "user 3 file 1: ok",
+            "user 4 file 1: FAIL packet (file 4, row 4) needed for symbol "
+            "2 is not cached: cell (4,4) is not a star",
+            "decode=FAIL",
+            "demand=1,4,4,3",
+            "bytes_sent=256 rate=2/3",
+            "user 1 file 1: FAIL symbol 2 occurs twice in column 1 (rows "
+            "4, 5): own packets collide",
+            "user 2 file 4: ok",
+            "user 3 file 4: ok",
+            "user 4 file 3: FAIL packet (file 1, row 4) needed for symbol "
+            "2 is not cached: cell (4,4) is not a star",
+            "decode=FAIL",
+            "demand=1,1,2,2",
+            "bytes_sent=256 rate=2/3",
+            "user 1 file 1: FAIL symbol 2 occurs twice in column 1 (rows "
+            "4, 5): own packets collide",
+            "user 2 file 1: ok",
+            "user 3 file 2: ok",
+            "user 4 file 2: FAIL packet (file 1, row 4) needed for symbol "
+            "2 is not cached: cell (4,4) is not a star",
+            "decode=FAIL",
+        ]
 
 
 class TestCompare:

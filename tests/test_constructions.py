@@ -178,6 +178,11 @@ class TestDomains:
         with pytest.raises(ParamDomainError, match="t must"):
             construct_ext_general(3, 2, 2, 2)
 
+    def test_special_families_fix_t(self):
+        for family in (Family.SPECIAL, Family.EXT_SPECIAL):
+            with pytest.raises(ParamDomainError, match="fixes t = 1"):
+                construct(family, ConstructionParams(3, 2, 2, 2))
+
     def test_q_below_two_rejected(self):
         with pytest.raises(ParamDomainError, match="q must"):
             construct_ext_special(1, 0, 1)

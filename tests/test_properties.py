@@ -4,9 +4,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from helpers import naive_check
-from pdakit import (ConstructionParams, PdaArray, canonicalize, construct,
-                    emit, equivalent, params_of, parse, standard_sweep,
-                    theorem_params, verify_pda)
+from pdakit import (ConstructionParams, PacketStore, PdaArray, canonicalize,
+                    construct, emit, equivalent, params_of, parse,
+                    run_simulation, standard_sweep, theorem_params,
+                    verify_pda)
 
 small_grids = st.integers(1, 5).flatmap(
     lambda f: st.integers(1, 5).flatmap(
@@ -60,6 +61,17 @@ def test_verifier_agrees_with_naive_oracle(cells):
     assert verify_pda(arr).valid == all(naive_check(arr.to_rows()))
 
 
+@given(small_grids, st.integers(0, 2**31 - 1))
+def test_decodes_exactly_when_c3_holds(cells, seed):
+    # C1 and C2 do not affect decoding; C3 alone decides it
+    arr = as_array(cells)
+    store = PacketStore.synthetic(arr.k, arr.f, packet_size=4, seed=0)
+    demand = np.random.default_rng(seed).integers(1, arr.k + 1, size=arr.k)
+    _, _, c3a, c3b = naive_check(arr.to_rows())
+    report = run_simulation(arr, store, list(map(int, demand)))
+    assert report.success == (c3a and c3b)
+
+
 @given(small_grids, st.permutations(list(range(1, 5))))
 def test_equivalence_under_relabeling(cells, perm):
     arr = as_array(cells)
@@ -110,7 +122,6 @@ def test_star_budget_equals_symbol_occurrences(combo):
 @settings(deadline=None, max_examples=20)
 @given(st.sampled_from(SWEEP_SMALL), st.integers(0, 2**31 - 1))
 def test_any_demand_decodes(combo, seed):
-    from pdakit import PacketStore, run_simulation
     family, p = combo
     arr = construct(family, p)
     store = PacketStore.synthetic(arr.k, arr.f, packet_size=8, seed=0)
