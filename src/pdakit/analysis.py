@@ -15,12 +15,18 @@ case and w/q in the t=1 case; the rate ratio is bounded by
 mixing and the packet bound relaxes to 1/(q-z)^t + 1/(q-z-1)^t.  The
 "advantage" flag records lambda * w^{2t} > 1, the regime where both ratios
 certify a strict win.  Tabulated values print the closed-form bounds; the
-exact ratios are exposed alongside.
+exact ratios are exposed alongside.  The t = 1 baseline is the general
+q-ary one at t = 1, so compare_special is compare_general at t = 1; the one
+difference is that at a lattice point it prints the exact packet ratio w/q
+instead of the bound 1/(q-z).
 
 enumerate_schemes exhaustively solves the family equations K(q, z, m, t) and
 ratio(q, z, t) for a target user count and memory ratio, in exact rational
-arithmetic, and keeps the (rate, F)-non-dominated rows: a parameterization
-that another one beats or ties on both axes never surfaces by default.
+arithmetic.  At each t with ratio = 1 - ((q-z)/q)^t it solves the one
+closed form of theorem_params, K = C(m,t) (w^t if ext else 1) q^t +
+(q if special else 0), for m.  It keeps the (rate, F)-non-dominated rows: a
+parameterization that another one beats or ties on both axes never surfaces
+by default.
 estimate_m_range inverts K = C(m,t) q^t to the open interval
 ( t K^{1/t} / (e q),  t K^{1/t} / q ) that must contain m, which is the
 sub-exponential growth statement F = O(w^t q^{t K^{1/t} / q}).
@@ -29,12 +35,12 @@ sub-exponential growth statement F = O(w^t q^{t K^{1/t} / q}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .constructions import (ConstructionParams, Family, _check_qz, _w,
-                            theorem_params)
+from .constructions import (VECTOR_FAMILIES, ConstructionParams, Family,
+                            _check_qz, _switches, _w, theorem_params)
 from .core import PdaParams
 
 MAX_EXACT_F_BITS = 4096
@@ -90,15 +96,12 @@ def memory_share(spec: MemoryShareSpec) -> SchemeMetrics:
     ratio = sum((w * m.ratio for m, w in spec.components), Fraction(0))
     rate = sum((w * m.rate for m, w in spec.components), Fraction(0))
     if all(m.f is not None for m, _ in spec.components):
-        f_total = sum(m.f for m, _ in spec.components)
-        ln_f = math.log(f_total)
-        f_out = f_total if f_total.bit_length() <= MAX_EXACT_F_BITS else None
-    else:
-        logs = [m.ln_f for m, _ in spec.components]
-        top = max(logs)
-        ln_f = top + math.log(sum(math.exp(l - top) for l in logs))
-        f_out = None
-    return SchemeMetrics(ratio, rate, f_out, ln_f)
+        return SchemeMetrics.exact(ratio, rate,
+                                   sum(m.f for m, _ in spec.components))
+    logs = [m.ln_f for m, _ in spec.components]
+    top = max(logs)
+    ln_f = top + math.log(sum(math.exp(l - top) for l in logs))
+    return SchemeMetrics(ratio, rate, None, ln_f)
 
 
 @dataclass(frozen=True)
@@ -163,29 +166,12 @@ def compare_special(q: int, z: int, lam: float,
                     exact_case: bool = True) -> ComparisonResult:
     """Family-z scheme (t = 1) versus the mixed t = 1 baseline.
 
-    At a lattice point the packet ratio is the exact value w/q, not a bound.
+    This is compare_general at t = 1, except that at a lattice point the
+    packet ratio printed is the exact value w/q, not a bound.
     """
-    _check_qz(q, z)
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie strictly between 0 and 1")
-    w = _w(q, z)
-    r_bound = 1.0 / (lam * w**2)
-    advantage = lam * w**2 > 1
-    if exact_case:
-        f_exact = Fraction(w, q)
-        f_value = w / q
-        rz = (q - z) / w
-        r_exact = rz / (lam * (q - 1) + (1 - lam) / (q - 1))
-    else:
-        if q - z < 2:
-            raise ValueError(
-                "between-lattice case needs q - z >= 2 (z+1 must stay below q)")
-        w2 = _w(q, z + 1)
-        f_exact = Fraction(w + w2, q)
-        f_value = 1.0 / (q - z) + 1.0 / (q - z - 1)
-        r_exact = None
-    return ComparisonResult("yctc", q, z, 1, lam, exact_case, w, advantage,
-                            r_bound, f_value, r_exact, f_exact)
+    res = compare_general(q, z, 1, lam, exact_case)
+    f_value = float(res.f_exact) if exact_case else res.f_value_or_bound
+    return replace(res, baseline="yctc", f_value_or_bound=f_value)
 
 
 @dataclass(frozen=True)
@@ -202,9 +188,9 @@ class SchemeRow:
     ln_f: float
 
 
-def _solve_binomial(target: int, t: int) -> int | None:
-    """m with C(m, t) == target and m > t, if any."""
-    m = t + 1
+def _solve_binomial(target: int, t: int, low: int) -> int | None:
+    """m >= low with C(m, t) == target, if any."""
+    m = low
     while comb(m, t) < target:
         m += 1
     return m if comb(m, t) == target else None
@@ -221,10 +207,11 @@ def enumerate_schemes(k: int, ratio: Fraction,
     """All family tuples hitting user count k and memory ratio exactly.
 
     The search runs q over the divisors of k (every family's K is a
-    multiple of q), z below q, and t up to floor(log2 k) + 1; m is solved
-    from each family's user-count equation.  Rows that another row beats or
-    ties on both rate and packet count are dropped unless include_dominated
-    is set.  Result is sorted by ascending rate, then q.
+    multiple of q), z below q, and t up to floor(log2 k) + 1, with t = 1
+    only for the special families; m is solved from the user-count
+    equation.  Rows that another row beats or ties on both rate and packet
+    count are dropped unless include_dominated is set.  Result is sorted by
+    ascending rate, then q.
     """
     if k < 2:
         raise ValueError("K must be at least 2")
@@ -240,19 +227,11 @@ def enumerate_schemes(k: int, ratio: Fraction,
         rows.append(SchemeRow(family, q, z, m, t, params.rate, params.f,
                               math.log(params.f)))
 
-    # ratio and its complement as reduced integer pairs keeps the scan cheap
-    rnum, rden = ratio.numerator, ratio.denominator
+    # 1 - ratio as a reduced integer pair keeps the scan cheap
     cnum, cden = (1 - ratio).numerator, (1 - ratio).denominator
     for q in _divisors(k):
         for z in range(1, q):
             w = _w(q, z)
-            if z * rden == q * rnum:  # ratio == z/q
-                if k // q - 1 >= 1:
-                    # special: K = (m+1) q
-                    add(Family.SPECIAL, q, z, k // q - 1, 1)
-                if (k // q - 1) % w == 0 and k // q - 1 >= w:
-                    # ext-special: K = (m w + 1) q
-                    add(Family.EXT_SPECIAL, q, z, (k // q - 1) // w, 1)
             g = math.gcd(q - z, q)
             a, b = (q - z) // g, q // g
             at, bt = a, b
@@ -260,16 +239,18 @@ def enumerate_schemes(k: int, ratio: Fraction,
                 if bt > cden or at > cnum:
                     break
                 if at == cnum and bt == cden:  # ratio == 1 - ((q-z)/q)^t
-                    # general: K = C(m,t) q^t
-                    if k % q**t == 0:
-                        m = _solve_binomial(k // q**t, t)
-                        if m is not None:
-                            add(Family.GENERAL, q, z, m, t)
-                    # ext-general: K = C(m,t) w^t q^t
-                    if k % (w**t * q**t) == 0:
-                        m = _solve_binomial(k // (w**t * q**t), t)
-                        if m is not None:
-                            add(Family.EXT_GENERAL, q, z, m, t)
+                    for family in VECTOR_FAMILIES:
+                        ext, special = _switches(family)
+                        if special and t != 1:
+                            continue
+                        # K = C(m,t) unit + (q if special), see theorem_params
+                        rest = k - (q if special else 0)
+                        unit = (w**t if ext else 1) * q**t
+                        if rest % unit == 0:
+                            m = _solve_binomial(rest // unit, t,
+                                                t if special else t + 1)
+                            if m is not None:
+                                add(family, q, z, m, t)
                 at *= a
                 bt *= b
 

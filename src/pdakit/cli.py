@@ -153,14 +153,15 @@ def _cmd_verify(args) -> int:
     report = verify_pda(arr, declared_z=header.z, declared_s=header.s)
     if report.valid:
         params = params_of(arr)
-        print(f"valid (K,F,Z,S)={params.as_tuple()} "
-              f"M/N={params.ratio} R={params.rate}")
-        return EXIT_OK
-    print(f"invalid: {len(report.violations)} violation(s)")
-    for v in report.violations:
-        locs = " ".join(f"({j},{k})" for j, k in v.locations)
-        print(f"  {v.condition} {locs + ' ' if locs else ''}{v.detail}")
-    return EXIT_SEMANTIC
+        lines = [f"valid (K,F,Z,S)={params.as_tuple()} "
+                 f"M/N={params.ratio} R={params.rate}"]
+    else:
+        lines = [f"invalid: {len(report.violations)} violation(s)"]
+        for v in report.violations:
+            locs = "".join(f"({j},{k}) " for j, k in v.locations)
+            lines.append(f"  {v.condition} {locs}{v.detail}")
+    _Out(args.out).write("\n".join(lines) + "\n")
+    return EXIT_OK if report.valid else EXIT_SEMANTIC
 
 
 def _parse_demand(text: str, k: int) -> list[int]:

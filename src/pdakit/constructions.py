@@ -33,7 +33,12 @@ construct_ext_special are shorthands for construct.
 
 theorem_params evaluates the closed-form (K, F, Z, S) of each family in
 exact big-integer arithmetic without building anything, so it stays usable
-where F has hundreds of digits.
+where F has hundreds of digits.  It and construct read the same two switches
+of a family, ext and special, so the table above is one formula:
+
+    F = q^m if ext else w^t q^m
+    K = C(m,t) (w^t if ext else 1) q^t + (q if special else 0)
+    Z = F - (F / q^t) (q-z)^t,    S = (q-z)^t q^m
 """
 
 from __future__ import annotations
@@ -109,40 +114,27 @@ def _check_domain(family: Family, p: ConstructionParams) -> None:
         raise ParamDomainError(f"family {family} fixes t = 1")
 
 
+def _switches(family: Family) -> tuple[bool, bool]:
+    """(ext, special) of a digit-vector family."""
+    return (family in (Family.EXT_GENERAL, Family.EXT_SPECIAL),
+            family in (Family.SPECIAL, Family.EXT_SPECIAL))
+
+
 def theorem_params(family: Family, p: ConstructionParams) -> PdaParams:
     """Closed-form (K, F, Z, S) of a vector family, exact big integers."""
     family = Family(family)
     _check_domain(family, p)
+    if family is Family.MN:
+        raise ParamDomainError(f"{family} takes (K, t), use mn_params")
+    ext, special = _switches(family)
     q, z, m, t, w = p.q, p.z, p.m, p.t, p.w
-    if family is Family.GENERAL:
-        return PdaParams(
-            k=comb(m, t) * q**t,
-            f=w**t * q**m,
-            z=w**t * (q**m - q**(m - t) * (q - z)**t),
-            s=(q - z)**t * q**m,
-        )
-    if family is Family.SPECIAL:
-        return PdaParams(
-            k=(m + 1) * q,
-            f=w * q**m,
-            z=z * w * q**(m - 1),
-            s=(q - z) * q**m,
-        )
-    if family is Family.EXT_GENERAL:
-        return PdaParams(
-            k=comb(m, t) * w**t * q**t,
-            f=q**m,
-            z=q**m - (q - z)**t * q**(m - t),
-            s=(q - z)**t * q**m,
-        )
-    if family is Family.EXT_SPECIAL:
-        return PdaParams(
-            k=(m * w + 1) * q,
-            f=q**m,
-            z=z * q**(m - 1),
-            s=(q - z) * q**m,
-        )
-    raise ParamDomainError(f"{family} takes (K, t), use mn_params")
+    f = q**m if ext else w**t * q**m
+    return PdaParams(
+        k=comb(m, t) * (w**t if ext else 1) * q**t + (q if special else 0),
+        f=f,
+        z=f - f // q**t * (q - z)**t,
+        s=(q - z)**t * q**m,
+    )
 
 
 def mn_params(k: int, t: int) -> PdaParams:
@@ -170,10 +162,9 @@ def _row_digits(idx: np.ndarray, radix: int, count: int,
     return out
 
 
-def _digit_tuples(radix: int, count: int) -> list[tuple[int, ...]]:
+def _digit_tuples(radix: int, count: int) -> list[list[int]]:
     """Every count-digit vector over Z_radix, first digit fastest-varying."""
-    return [tuple((n // radix**i) % radix for i in range(count))
-            for n in range(radix**count)]
+    return _row_digits(np.arange(radix**count), radix, count).tolist()
 
 
 def _vector_block(A: np.ndarray, E, q: int, z: int,
@@ -229,13 +220,13 @@ def construct(family: Family, p: ConstructionParams,
     family = Family(family)
     if family is Family.MN:
         raise ParamDomainError("mn takes (K, t); call construct_mn")
-    special = family in (Family.SPECIAL, Family.EXT_SPECIAL)
+    ext, special = _switches(family)
     params = theorem_params(family, p)
     _check_cap(params, max_cells)
     q, z, m, t, w = p.q, p.z, p.m, p.t, p.w
     idx = np.arange(params.f, dtype=np.int64)
     A = _row_digits(idx, q, m)
-    if family in (Family.EXT_GENERAL, Family.EXT_SPECIAL):
+    if ext:
         e_choices, e0 = _digit_tuples(w, t), 0
     else:
         E = _row_digits(idx, w, t, unit=q**m)
@@ -317,7 +308,7 @@ def standard_sweep(max_cells: int = 1_000_000):
     max_cells cells.  The two "special" families are swept at their fixed
     t = 1."""
     for family in VECTOR_FAMILIES:
-        ts = (1, 2) if family in (Family.GENERAL, Family.EXT_GENERAL) else (1,)
+        ts = (1,) if _switches(family)[1] else (1, 2)
         for q in range(2, 7):
             for z in range(1, q):
                 for t in ts:

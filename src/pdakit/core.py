@@ -23,6 +23,7 @@ never a symbol.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +32,8 @@ import numpy as np
 from . import _kernels
 
 STAR = 0
+# verify_pda names at most this many missing symbols, then counts the rest
+C2_LISTED = 1000
 
 
 class PdaError(ValueError):
@@ -184,6 +187,14 @@ def _c3_faults(grid: np.ndarray, rows, cols, starts):
         yield int(grid[r1, c1]), (r1, c1), (r2, c2), uncached
 
 
+def _missing_symbols(present: np.ndarray, s_ref: int):
+    """Yield 1..s_ref absent from the sorted ``present``, gap by gap."""
+    bounds = np.concatenate(([0], present))
+    for i in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        yield from range(int(bounds[i]) + 1, int(bounds[i + 1]))
+    yield from range(int(bounds[-1]) + 1, s_ref + 1)
+
+
 def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
                declared_s: int | None = None) -> VerificationReport:
     """Check C1-C3 and report every violation, not just the first.
@@ -191,8 +202,10 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
     ``declared_z`` / ``declared_s`` let a caller (e.g. the file verifier)
     check against header-declared values instead of counted ones; left to
     None, Z is the most common column star count and S the largest symbol
-    present.  Cost of the C3 pass is sum over symbols of (count choose 2),
-    grouped by symbol, never (F*K)^2.
+    present.  C2 names at most C2_LISTED missing symbols, then one
+    "<n> more symbols never occur" holds the exact count of the rest, so a
+    huge declared S stays cheap.  Cost of the C3 pass is sum over symbols of
+    (count choose 2), grouped by symbol, never (F*K)^2.
     """
     grid = arr.grid
     violations: list[Violation] = []
@@ -213,22 +226,26 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
     rows, cols, uniq, starts = _nonzero_sorted(grid)
     if uniq.size == 0:
         violations.append(Violation("C2", (), "array contains no integer symbols"))
-        s_ref = 0
     else:
-        s_ref = declared_s if declared_s is not None else int(uniq.max())
-        present = set(int(v) for v in uniq)
-        for s in range(1, s_ref + 1):
-            if s not in present:
-                violations.append(Violation("C2", (), f"symbol {s} never occurs"))
-        for s in sorted(present):
-            if s > s_ref:
-                where = np.flatnonzero(grid == s)
-                locs = tuple(
-                    (int(p // grid.shape[1]) + 1, int(p % grid.shape[1]) + 1)
-                    for p in where
-                )
-                violations.append(Violation(
-                    "C2", locs, f"symbol {s} exceeds S={s_ref}"))
+        s_ref = declared_s if declared_s is not None else int(uniq[-1])
+        # uniq[:n_in] lie in 1..S; S may exceed the int64 range
+        n_in = (uniq.size if s_ref >= int(uniq[-1])
+                else int(np.searchsorted(uniq, s_ref, side="right")))
+        missing = _missing_symbols(uniq[:n_in], s_ref)
+        for s in itertools.islice(missing, C2_LISTED):
+            violations.append(Violation("C2", (), f"symbol {s} never occurs"))
+        if s_ref - n_in > C2_LISTED:
+            violations.append(Violation(
+                "C2", (), f"{s_ref - n_in - C2_LISTED} more symbols never occur"))
+        # symbols above S own the tail of the sorted cells; list them row-major
+        lo = int(starts[n_in])
+        r, c = rows[lo:], cols[lo:]
+        order = np.lexsort((c, r, grid[r, c]))
+        r, c = (r[order] + 1).tolist(), (c[order] + 1).tolist()
+        ends = (starts[n_in:] - lo).tolist()
+        for s, a, b in zip(uniq[n_in:].tolist(), ends, ends[1:]):
+            violations.append(Violation("C2", tuple(zip(r[a:b], c[a:b])),
+                                        f"symbol {s} exceeds S={s_ref}"))
 
     # C3: same-symbol pair scan
     c3 = []

@@ -44,6 +44,21 @@ def naive_check(rows):
     return c1, c2, c3a, c3b
 
 
+def naive_c2(rows, declared_s=None):
+    """C2 (locations, detail) pairs by direct search, 1-based row-major."""
+    cells = [(j + 1, c + 1, v) for j, row in enumerate(rows)
+             for c, v in enumerate(row) if v != "*"]
+    syms = sorted({v for _, _, v in cells})
+    if not syms:
+        return [((), "array contains no integer symbols")]
+    s_ref = max(syms) if declared_s is None else declared_s
+    out = [((), f"symbol {s} never occurs")
+           for s in range(1, s_ref + 1) if s not in syms]
+    out += [(tuple((j, c) for j, c, v in cells if v == s),
+             f"symbol {s} exceeds S={s_ref}") for s in syms if s > s_ref]
+    return out
+
+
 def naive_valid(rows) -> bool:
     return all(naive_check(rows))
 

@@ -92,6 +92,27 @@ class TestVerify:
         assert code == 1
         assert "C1" in out and "C2" in out
 
+    def test_out_file_holds_report(self, capsys, tmp_path):
+        target = tmp_path / "report.txt"
+        valid = FIXTURES / "special_q3_z2_m2.pda"
+        invalid = corrupted(tmp_path, "mn_k4_t2.pda", [(4, 1, "2")])
+        for path, want in ((valid, 0), (invalid, 1)):
+            code, out, _ = run(capsys, "verify", str(path), "--out",
+                               str(target))
+            assert code == want and out == ""
+            _, stdout_report, _ = run(capsys, "verify", str(path))
+            assert target.read_text() == stdout_report
+        assert stdout_report.startswith("invalid: 2 violation(s)\n")
+
+    def test_huge_declared_s_is_bounded(self, capsys, tmp_path):
+        path = tmp_path / "huge_s.pda"
+        path.write_text(f"2 2 1 {10**30}\n* 1\n1 *\n")
+        code, out, _ = run(capsys, "verify", str(path))
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == "invalid: 1001 violation(s)"
+        assert lines[-1] == f"  C2 {10**30 - 1001} more symbols never occur"
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "junk.pda"
         bad.write_text("not a header\n")

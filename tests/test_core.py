@@ -80,6 +80,34 @@ class TestVerify:
         assert any(v.condition == "C2" and "exceeds" in v.detail
                    for v in report.violations)
 
+    def test_huge_declared_s_lists_1000_missing_symbols(self):
+        arr = PdaArray.from_rows([["*", 1], [1, "*"]])
+        report = verify_pda(arr, declared_s=10**6)
+        assert len(report.violations) == 1001
+        assert all(v.condition == "C2" and v.locations == ()
+                   for v in report.violations)
+        assert report.violations[0].detail == "symbol 2 never occurs"
+        assert report.violations[999].detail == "symbol 1001 never occurs"
+        assert report.violations[1000].detail == \
+            "998999 more symbols never occur"
+
+    def test_missing_symbols_skip_present_ones(self):
+        arr = PdaArray.from_rows([["*", 1, 4], [3, "*", 9]])
+        c2 = [v.detail for v in verify_pda(arr, declared_s=11).violations
+              if v.condition == "C2"]
+        assert c2 == [f"symbol {s} never occurs"
+                      for s in (2, 5, 6, 7, 8, 10, 11)]
+
+    def test_symbols_above_s_list_cells_row_major(self):
+        arr = PdaArray.from_rows([["*", 1, 5], [5, "*", 1], [6, 5, "*"]])
+        c2 = [(v.locations, v.detail)
+              for v in verify_pda(arr, declared_s=1).violations
+              if v.condition == "C2"]
+        assert c2 == [
+            (((1, 3), (2, 1), (3, 2)), "symbol 5 exceeds S=1"),
+            (((3, 1),), "symbol 6 exceeds S=1"),
+        ]
+
     def test_declared_z_reports_every_short_column(self):
         arr = PdaArray.from_rows([["*", 1], [1, "*"]])
         report = verify_pda(arr, declared_z=2)

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import naive_check
+from helpers import naive_c2, naive_check
 from pdakit import (ConstructionParams, PacketStore, PdaArray, canonicalize,
                     construct, emit, equivalent, params_of, parse,
                     run_simulation, standard_sweep, theorem_params,
@@ -22,6 +22,15 @@ SWEEP_SMALL = [
 
 def as_array(cells) -> PdaArray:
     return PdaArray(np.array(cells, dtype=np.int32))
+
+
+@given(small_grids, st.none() | st.integers(0, 12))
+def test_c2_listing_matches_naive(cells, declared_s):
+    rows = [["*" if v == 0 else v for v in row] for row in cells]
+    report = verify_pda(as_array(cells), declared_s=declared_s)
+    got = [(v.locations, v.detail) for v in report.violations
+           if v.condition == "C2"]
+    assert got == naive_c2(rows, declared_s)
 
 
 @given(small_grids)
