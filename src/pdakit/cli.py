@@ -40,13 +40,12 @@ class _Out:
                 fh.write(text)
 
 
-def _common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for anything randomized (default 0)")
+def _common(sub: argparse.ArgumentParser, table: bool = False) -> None:
     sub.add_argument("--out", default="-",
                      help="output path, or - for stdout (default)")
-    sub.add_argument("--format", choices=("text", "csv"), default="text",
-                     help="table output format (default text)")
+    if table:
+        sub.add_argument("--format", choices=("text", "csv"), default="text",
+                         help="table output format (default text)")
 
 
 def _fraction(text: str) -> Fraction:
@@ -96,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated file indices, one per user")
     s.add_argument("--random-demands", type=int, default=None,
                    help="simulate this many uniformly random demands")
+    s.add_argument("--seed", type=int, default=0,
+                   help="seed for packets and random demands (default 0)")
     _common(s)
 
     p = subs.add_parser("compare",
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preset: szg baseline, q=20, t=3, lambda=0.1")
     p.add_argument("--table-v", action="store_true",
                    help="preset: yctc baseline, q=20, lambda=0.5")
-    _common(p)
+    _common(p, table=True)
 
     e = subs.add_parser("enumerate",
                         help="families matching a user count and ratio")
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--include-dominated", action="store_true")
     e.add_argument("--table-iii", action="store_true",
                    help="preset: K=405, ratio 2/3")
-    _common(e)
+    _common(e, table=True)
     return top
 
 
@@ -234,6 +235,9 @@ def _cmd_compare(args) -> int:
             print("compare: szg baseline needs --t", file=sys.stderr)
             return EXIT_USAGE
         if baseline == "yctc":
+            if t not in (None, 1):
+                print("compare: yctc baseline fixes t = 1", file=sys.stderr)
+                return EXIT_USAGE
             t = 1
     if args.z is not None:
         zs = [args.z]

@@ -274,18 +274,6 @@ def construct_ext_special(q: int, z: int, m: int,
                      max_cells)
 
 
-def _subset_rank(sub: tuple[int, ...], k: int) -> int:
-    """1-based lexicographic rank of a subset of [1..k]."""
-    r = len(sub)
-    rank = 0
-    prev = 0
-    for i, s in enumerate(sub):
-        c = r - i
-        rank += comb(k - prev, c) - comb(k - s + 1, c)
-        prev = s
-    return rank + 1
-
-
 def construct_mn(k: int, t: int,
                  max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
     """Subset family: rows are the t-subsets of [1..K] in lexicographic
@@ -293,12 +281,11 @@ def construct_mn(k: int, t: int,
     among the (t+1)-subsets."""
     params = mn_params(k, t)
     _check_cap(params, max_cells)
+    row = {sub: j for j, sub in enumerate(itertools.combinations(range(k), t))}
     grid = np.zeros((params.f, k), dtype=np.int64)
-    for j, subset in enumerate(itertools.combinations(range(1, k + 1), t)):
-        members = set(subset)
-        for u in range(1, k + 1):
-            if u not in members:
-                grid[j, u - 1] = _subset_rank(tuple(sorted(subset + (u,))), k)
+    for s, sup in enumerate(itertools.combinations(range(k), t + 1), start=1):
+        for i, u in enumerate(sup):
+            grid[row[sup[:i] + sup[i + 1:]], u] = s
     return PdaArray(grid)
 
 

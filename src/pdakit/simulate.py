@@ -11,9 +11,10 @@ and what remains is W[d_k, j].
 
 decode_and_verify replays that procedure literally on synthetic packet
 bytes: every cancellation term is first looked up in the decoder's cache
-(a missing packet is reported, never skipped), files are reassembled and
-compared hash-for-hash against the originals, and the measured traffic is
-exactly S packets, i.e. rate S/F.
+(a missing packet is reported, never skipped), every decoded packet is
+compared byte-for-byte with its original (the star rows are the user's own
+copies, so a file is exact iff all its decoded packets are), and the
+measured traffic is exactly S packets, i.e. rate S/F.
 """
 
 from __future__ import annotations
@@ -179,37 +180,38 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
                       log: TransmissionLog) -> DecodeReport:
     """Decode every user's file from cache plus log and compare bit-exactly.
 
-    Cache membership of every cancellation term is audited with the C3
-    classifier the verifier uses: a same-symbol pair whose cross cell is not
-    a star is exactly a packet some decoder would need but does not hold.
-    Only when all terms of a slot are cached is the XOR identity applied.
+    The log is read in order and must hold one slot per symbol, ascending,
+    with this array's terms.  Cache membership of every cancellation term is
+    audited with the C3 classifier the verifier uses: a same-symbol pair
+    whose cross cell is not a star is exactly a packet some decoder would
+    need but does not hold.  Only when all terms of a slot are cached is the
+    XOR identity applied, and each decoded packet is compared with its
+    original.
     """
     _check_store(arr, store)
     d = _check_demand(arr, store, demand)
-    grid = arr.grid
-    f, k = arr.f, arr.k
     rows, cols, starts, gathered, symbols, slot_terms = _slots(arr, store, d)
 
-    user_problems: dict[int, list[str]] = {u: [] for u in range(k)}
+    user_problems: dict[int, list[str]] = {u: [] for u in range(arr.k)}
     global_problems: list[str] = []
 
-    # structural consistency of the log with this array
-    by_symbol = {t.symbol: t for t in log.transmissions}
+    # structural consistency of the log with this array, slot by slot
+    sent = log.transmissions
     if log.packet_size != store.packet_size:
         global_problems.append(
             f"log packet size {log.packet_size} != store {store.packet_size}")
-    if list(by_symbol) != symbols:
+    if [t.symbol for t in sent] != symbols:
         global_problems.append("log symbols do not match the array")
     else:
-        for s, expect in zip(symbols, slot_terms):
-            t = by_symbol[s]
+        for t, expect in zip(sent, slot_terms):
             if t.terms != expect or len(t.payload) != store.packet_size:
-                global_problems.append(f"log entry for symbol {s} "
+                global_problems.append(f"log entry for symbol {t.symbol} "
                                        "does not match the array")
                 break
 
     # cache-membership audit: every cancellation term must be held
-    for s, (r1, c1), (r2, c2), uncached in _c3_faults(grid, rows, cols, starts):
+    for s, (r1, c1), (r2, c2), uncached in _c3_faults(arr.grid, rows, cols,
+                                                      starts):
         if c1 == c2:
             user_problems[c1].append(
                 f"symbol {s} occurs twice in column {c1 + 1} "
@@ -226,44 +228,43 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
                 f"packet (file {d[c1 if c == c2 else c2]}, row {r + 1}) "
                 f"needed for symbol {s} {why}")
 
-    # byte-level replay: payload XOR (all cached other terms) per cell
+    # byte-level replay: payload XOR (all cached other terms) per cell; the
+    # star rows are the user's own copies, so only decoded packets can differ
     decodable = not global_problems
-    assembled = np.zeros((k, f, store.packet_size), dtype=np.uint8)
-    cache = place(arr, store)
-    for u in range(k):
-        sr = cache.star_rows[u]
-        assembled[u, sr] = store.data[d[u] - 1, sr]
+    wrong: set[int] = set()
     if decodable and symbols:
         payloads = np.frombuffer(
-            b"".join(by_symbol[s].payload for s in symbols), dtype=np.uint8,
-        ).reshape(len(symbols), store.packet_size)
+            b"".join(t.payload for t in sent), dtype=np.uint8,
+        ).reshape(len(sent), store.packet_size)
         # a slot's payload XOR all of its terms; each cell XORs its own back
         rest = payloads ^ np.bitwise_xor.reduceat(gathered, starts[:-1], axis=0)
         decoded = np.repeat(rest, np.diff(starts), axis=0)
         decoded ^= gathered
-        assembled[cols, rows] = decoded
+        wrong = set(cols[(decoded != gathered).any(axis=1)].tolist())
 
     users = []
-    for u in range(k):
+    for u in range(arr.k):
+        i = int(d[u])
         problems = tuple(user_problems[u])
-        expected = store.file_hash(int(d[u]))
-        if decodable and not problems:
-            decoded_hash = hashlib.sha256(assembled[u].tobytes()).hexdigest()
-            ok = decoded_hash == expected
-            if not ok:
-                problems = (f"decoded file differs from file {int(d[u])}",)
-        else:
-            decoded_hash = None
-            ok = False
-        users.append(UserDecodeResult(u + 1, int(d[u]), ok, expected,
-                                      decoded_hash, problems))
+        expected = store.file_hash(i)
+        ok = decodable and not problems and u not in wrong
+        decoded_hash = expected if ok else None
+        if decodable and not problems and not ok:
+            # only a failing user's file is put together, for its hash
+            mine = cols == u
+            got = store.data[i - 1].copy()
+            got[rows[mine]] = decoded[mine]
+            decoded_hash = hashlib.sha256(got.tobytes()).hexdigest()
+            problems = (f"decoded file differs from file {i}",)
+        users.append(UserDecodeResult(u + 1, i, ok, expected, decoded_hash,
+                                      problems))
 
     return DecodeReport(
         success=all(r.ok for r in users) and not global_problems,
         users=tuple(users),
         problems=tuple(global_problems),
         bytes_sent=log.bytes_sent,
-        rate=Fraction(len(log.transmissions), f),
+        rate=Fraction(len(sent), arr.f),
     )
 
 

@@ -128,7 +128,8 @@ def emit(arr: PdaArray) -> str:
     s = int(grid.max())
     lines = [f"{arr.k} {arr.f} {z} {s}"]
     for row in grid:
-        lines.append(" ".join("*" if v == STAR else str(int(v)) for v in row))
+        lines.append(" ".join("*" if v == STAR else str(v)
+                              for v in row.tolist()))
     return "\n".join(lines) + "\n"
 
 

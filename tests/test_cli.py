@@ -136,6 +136,21 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.pda"))
         assert code == 2 and "error" in err
 
+    def test_unread_options_exit_2(self, capsys):
+        # --format and --seed belong to the subcommands that read them
+        path = str(FIXTURES / "mn_k4_t2.pda")
+        for extra in (["--format", "csv"], ["--seed", "9"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["verify", path, *extra])
+            assert exit_info.value.code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["construct", "--family", "mn", "--k", "4", "--t", "2",
+                  "--seed", "1"])
+        assert exit_info.value.code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", path, "--format", "csv"])
+        assert exit_info.value.code == 2
+
 
 class TestSimulate:
     def test_known_demand_trace(self, capsys):
@@ -371,6 +386,17 @@ class TestCompare:
     def test_missing_args_exit_2(self, capsys):
         code, _, _ = run(capsys, "compare", "--baseline", "szg")
         assert code == 2
+
+    def test_yctc_given_t_other_than_1_exit_2(self, capsys):
+        code, out, err = run(capsys, "compare", "--baseline", "yctc",
+                             "--q", "5", "--t", "3")
+        assert code == 2
+        assert out == ""
+        assert "t = 1" in err
+        _, with_t1, _ = run(capsys, "compare", "--baseline", "yctc",
+                            "--q", "20", "--t", "1")
+        _, preset, _ = run(capsys, "compare", "--table-v")
+        assert with_t1 == preset
 
 
 class TestEnumerate:

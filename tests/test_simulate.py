@@ -174,6 +174,18 @@ class TestDecode:
         report = decode_and_verify(other, store2, [1, 2, 3, 4], log)
         assert not report.success and report.problems
 
+    def test_repeated_slot_flagged(self):
+        store = PacketStore.synthetic(6, 6)
+        log = deliver(MN_4_2, store, [1, 2, 3, 4])
+        repeated = type(log)(log.transmissions + log.transmissions[:1],
+                             log.packet_size)
+        report = decode_and_verify(MN_4_2, store, [1, 2, 3, 4], repeated)
+        assert not report.success
+        assert report.problems == ("log symbols do not match the array",)
+        assert not any(u.ok for u in report.users)
+        assert report.rate == Fraction(5, 6)
+        assert report.bytes_sent == 5 * store.packet_size
+
     def test_deterministic_payloads(self):
         store = PacketStore.synthetic(6, 6, seed=5)
         a = deliver(MN_4_2, store, [1, 2, 3, 4])
