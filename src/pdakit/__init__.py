@@ -18,8 +18,8 @@ from .constructions import (ConstructionParams, Family, ParamDomainError,
                             standard_sweep, theorem_params)
 from .core import (STAR, PdaArray, PdaError, PdaParams, VerificationReport,
                    Violation, canonicalize, equivalent, params_of, verify_pda)
-from .simulate import (CacheState, DecodeReport, PacketStore, Transmission,
-                       TransmissionLog, decode_and_verify, deliver, place,
+from .simulate import (DecodeReport, PacketStore, Transmission,
+                       TransmissionLog, decode_and_verify, deliver,
                        run_simulation)
 from .textio import PdaFormatError, PdaHeader, emit, load, parse, save
 
@@ -39,9 +39,8 @@ __all__ = [
     "construct", "construct_general", "construct_special",
     "construct_ext_general", "construct_ext_special", "construct_mn",
     "mn_params", "standard_sweep", "theorem_params",
-    "CacheState", "DecodeReport", "PacketStore", "Transmission",
-    "TransmissionLog", "decode_and_verify", "deliver", "place",
-    "run_simulation",
+    "DecodeReport", "PacketStore", "Transmission", "TransmissionLog",
+    "decode_and_verify", "deliver", "run_simulation",
     "ComparisonResult", "MemoryShareSpec", "SchemeMetrics", "SchemeRow",
     "compare_general", "compare_special", "enumerate_schemes",
     "estimate_m_range", "memory_share",

@@ -185,6 +185,10 @@ def _cmd_simulate(args) -> int:
         print("simulate: --demand and --random-demands are exclusive",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.random_demands is not None and args.random_demands < 1:
+        print("simulate: --random-demands must be at least 1",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.random_demands is not None:
         rng = np.random.default_rng(args.seed)
         demands = [list(map(int, rng.integers(1, n + 1, size=k)))

@@ -3,29 +3,33 @@
 Placement: user k caches packet row j of every file whenever cell (j, k) is
 a star, so each of the K caches holds exactly N*Z packets (memory ratio
 Z/F).  Delivery: given a demand vector d, the server walks the symbols in
-ascending order and broadcasts, for each symbol s, the byte-wise XOR of
+ascending order and broadcasts, for each symbol s, the byte-wise XOR p_s of
 W[d_k, j] over all cells (j, k) labeled s.  Decoding: the user at term
 (k, j) of slot s XORs the broadcast with its cached copies of every other
 term's packet; the validity conditions guarantee those copies are cached,
 and what remains is W[d_k, j].
 
-decode_and_verify replays that procedure literally on synthetic packet
-bytes: every cancellation term is first looked up in the decoder's cache
-(a missing packet is reported, never skipped), every decoded packet is
-compared byte-for-byte with its original (the star rows are the user's own
-copies, so a file is exact iff all its decoded packets are), and the
-measured traffic is exactly S packets, i.e. rate S/F.
+decode_and_verify checks that procedure on synthetic packet bytes: every
+cancellation term is first looked up in the decoder's cache (a missing
+packet is reported, never skipped).  Once all terms are cached, the packet
+decoded at term c is p_s XOR (the other terms) = W_c XOR (p_s XOR all
+terms), so every packet decoded from slot s equals its original exactly
+when p_s equals the XOR of the slot's terms; one comparison per slot
+decides it.  The star rows are the user's own copies, so a file is exact iff
+all its decoded packets are, and the measured traffic is exactly S packets,
+i.e. rate S/F.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import STAR, PdaArray, _c3_faults, _nonzero_sorted
+from .core import PdaArray, _c3_faults, _nonzero_sorted
 
 DEFAULT_PACKET_SIZE = 64
 
@@ -62,26 +66,6 @@ class PacketStore:
 
     def file_hash(self, i: int) -> str:
         return hashlib.sha256(self.data[i - 1].tobytes()).hexdigest()
-
-
-@dataclass(frozen=True)
-class CacheState:
-    """Per-user cache contents fixed by the star pattern."""
-
-    star_rows: tuple[np.ndarray, ...]  # 0-based row indices per user
-    n_files: int
-    packet_size: int
-
-    def packets_cached(self, user: int) -> int:
-        """Cache occupancy of a user (1-based) in packets; equals N*Z."""
-        return self.n_files * int(self.star_rows[user - 1].size)
-
-    def cache_bytes(self, user: int) -> int:
-        return self.packets_cached(user) * self.packet_size
-
-    def holds(self, user: int, i: int, j: int) -> bool:
-        """Whether user (1-based) caches packet j of file i."""
-        return 1 <= i <= self.n_files and (j - 1) in self.star_rows[user - 1]
 
 
 @dataclass(frozen=True)
@@ -142,37 +126,29 @@ def _check_demand(arr: PdaArray, store: PacketStore, demand) -> np.ndarray:
     return d
 
 
-def place(arr: PdaArray, store: PacketStore) -> CacheState:
-    """Fill each user's cache from the star rows of its column."""
-    _check_store(arr, store)
-    star_rows = tuple(
-        np.flatnonzero(arr.grid[:, k] == STAR) for k in range(arr.k)
-    )
-    return CacheState(star_rows, store.n_files, store.packet_size)
-
-
 def _slots(arr: PdaArray, store: PacketStore, d: np.ndarray):
     """Non-star cells sorted by (symbol, column, row), each cell's demanded
-    packet, the slot symbols and each slot's 1-based (user, row) terms."""
+    packet, each slot's XOR of those packets, the slot symbols and each
+    slot's 1-based (user, row) terms."""
     rows, cols, symbols, starts = _nonzero_sorted(arr.grid)
     gathered = store.data[d[cols] - 1, rows]
+    # XOR whole machine words; the widest that divides a packet
+    words = gathered.view(f"u{math.gcd(store.packet_size, 8)}")
+    totals = np.bitwise_xor.reduceat(words, starts[:-1], axis=0).view(np.uint8)
     terms = list(zip((cols + 1).tolist(), (rows + 1).tolist()))
     bounds = starts.tolist()
     slot_terms = [tuple(terms[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    return rows, cols, starts, gathered, symbols.tolist(), slot_terms
+    return rows, cols, starts, gathered, totals, symbols.tolist(), slot_terms
 
 
 def deliver(arr: PdaArray, store: PacketStore, demand) -> TransmissionLog:
     """Broadcast one XOR payload per symbol, ascending symbol order."""
     _check_store(arr, store)
     d = _check_demand(arr, store, demand)
-    _, _, starts, gathered, symbols, slot_terms = _slots(arr, store, d)
-    if not symbols:
-        return TransmissionLog((), store.packet_size)
-    payloads = np.bitwise_xor.reduceat(gathered, starts[:-1], axis=0)
+    *_, totals, symbols, slot_terms = _slots(arr, store, d)
     return TransmissionLog(tuple(
         Transmission(s, terms, payload.tobytes())
-        for s, terms, payload in zip(symbols, slot_terms, payloads)
+        for s, terms, payload in zip(symbols, slot_terms, totals)
     ), store.packet_size)
 
 
@@ -184,13 +160,17 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     with this array's terms.  Cache membership of every cancellation term is
     audited with the C3 classifier the verifier uses: a same-symbol pair
     whose cross cell is not a star is exactly a packet some decoder would
-    need but does not hold.  Only when all terms of a slot are cached is the
-    XOR identity applied, and each decoded packet is compared with its
-    original.
+    need but does not hold.  Once every term is cached, the packet decoded
+    at term c of slot s is p_s XOR (the other terms) = W_c XOR rest_s, where
+    rest_s = p_s XOR (all terms of s).  So every packet of slot s decodes
+    exactly iff rest_s is zero, and a user fails iff one of its cells lies
+    in a slot with non-zero rest.  Only a failing user's file is put
+    together, for its hash; each distinct demanded file is hashed once.
     """
     _check_store(arr, store)
     d = _check_demand(arr, store, demand)
-    rows, cols, starts, gathered, symbols, slot_terms = _slots(arr, store, d)
+    rows, cols, starts, gathered, totals, symbols, slot_terms = _slots(
+        arr, store, d)
 
     user_problems: dict[int, list[str]] = {u: [] for u in range(arr.k)}
     global_problems: list[str] = []
@@ -228,32 +208,28 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
                 f"packet (file {d[c1 if c == c2 else c2]}, row {r + 1}) "
                 f"needed for symbol {s} {why}")
 
-    # byte-level replay: payload XOR (all cached other terms) per cell; the
-    # star rows are the user's own copies, so only decoded packets can differ
     decodable = not global_problems
     wrong: set[int] = set()
-    if decodable and symbols:
+    if decodable:
         payloads = np.frombuffer(
             b"".join(t.payload for t in sent), dtype=np.uint8,
         ).reshape(len(sent), store.packet_size)
-        # a slot's payload XOR all of its terms; each cell XORs its own back
-        rest = payloads ^ np.bitwise_xor.reduceat(gathered, starts[:-1], axis=0)
-        decoded = np.repeat(rest, np.diff(starts), axis=0)
-        decoded ^= gathered
-        wrong = set(cols[(decoded != gathered).any(axis=1)].tolist())
+        rest = payloads ^ totals
+        slot_of = np.repeat(np.arange(len(sent)), np.diff(starts))
+        wrong = set(cols[rest.any(axis=1)[slot_of]].tolist())
 
+    hashes = {i: store.file_hash(i) for i in set(d.tolist())}
     users = []
     for u in range(arr.k):
         i = int(d[u])
         problems = tuple(user_problems[u])
-        expected = store.file_hash(i)
+        expected = hashes[i]
         ok = decodable and not problems and u not in wrong
         decoded_hash = expected if ok else None
         if decodable and not problems and not ok:
-            # only a failing user's file is put together, for its hash
             mine = cols == u
             got = store.data[i - 1].copy()
-            got[rows[mine]] = decoded[mine]
+            got[rows[mine]] = gathered[mine] ^ rest[slot_of[mine]]
             decoded_hash = hashlib.sha256(got.tobytes()).hexdigest()
             problems = (f"decoded file differs from file {i}",)
         users.append(UserDecodeResult(u + 1, i, ok, expected, decoded_hash,
@@ -269,6 +245,6 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
 
 
 def run_simulation(arr: PdaArray, store: PacketStore, demand) -> DecodeReport:
-    """place + deliver + decode_and_verify in one call."""
+    """deliver + decode_and_verify in one call."""
     log = deliver(arr, store, demand)
     return decode_and_verify(arr, store, demand, log)

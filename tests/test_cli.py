@@ -168,6 +168,15 @@ class TestSimulate:
         assert code == 0
         assert out.count("decode=ok") == 5
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_random_demands_not_positive_exit_2(self, capsys, count):
+        code, out, err = run(capsys, "simulate",
+                             str(FIXTURES / "mn_k4_t2.pda"),
+                             "--random-demands", count)
+        assert code == 2
+        assert out == ""
+        assert "--random-demands must be at least 1" in err
+
     def test_demand_out_of_range_exit_2(self, capsys):
         code, _, err = run(capsys, "simulate", str(FIXTURES / "mn_k4_t2.pda"),
                            "--files", "6", "--demand", "1,2,3,7")

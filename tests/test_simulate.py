@@ -1,5 +1,6 @@
 """Placement, delivery, decoding against hand-computed byte oracles."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from helpers import fixture_text
 from pdakit import (PacketStore, PdaArray, construct_general,
                     construct_special, decode_and_verify, deliver, parse,
-                    place, run_simulation)
+                    run_simulation)
 
 MN_4_2 = parse(fixture_text("mn_k4_t2.pda"))
 TWO_USER = PdaArray.from_rows([["*", 1], [1, "*"]])
@@ -40,33 +41,6 @@ class TestPacketStore:
             PacketStore.synthetic(0, 3, 8)
 
 
-class TestPlace:
-    def test_star_rows_of_known_array(self):
-        store = PacketStore.synthetic(6, 6)
-        cache = place(MN_4_2, store)
-        got = [list(r + 1) for r in cache.star_rows]
-        assert got == [[1, 2, 3], [1, 4, 5], [2, 4, 6], [3, 5, 6]]
-        assert all(cache.packets_cached(k) == 6 * 3 for k in range(1, 5))
-        assert cache.holds(1, 6, 2) and not cache.holds(1, 6, 4)
-
-    def test_single_user_single_file(self):
-        arr = PdaArray.from_rows([["*"], [1]])
-        store = PacketStore.synthetic(1, 2)
-        cache = place(arr, store)
-        assert list(cache.star_rows[0]) == [0]
-        assert cache.packets_cached(1) == 1
-
-    def test_cache_size_matches_memory_ratio(self):
-        arr = construct_general(2, 1, 2, 1)  # (K,F,Z,S) = (4,4,2,4)
-        store = PacketStore.synthetic(4, arr.f)
-        cache = place(arr, store)
-        assert [cache.packets_cached(k) for k in range(1, 5)] == [8] * 4
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="packets per file"):
-            place(MN_4_2, PacketStore.synthetic(6, 5))
-
-
 class TestDeliver:
     def test_two_user_payload_bytes(self):
         store = PacketStore.synthetic(2, 2, 8, seed=1)
@@ -93,6 +67,16 @@ class TestDeliver:
         assert log.transmissions[0].payload == want.tobytes()
         assert log.bytes_sent == 4 * store.packet_size
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 6, 8, 12, 256])
+    def test_payloads_match_bytewise_xor(self, size):
+        # every word width the reduction picks from the packet size
+        store = PacketStore.synthetic(6, 6, size, seed=size)
+        demand = [3, 1, 6, 3]
+        log = deliver(MN_4_2, store, demand)
+        for t in log.transmissions:
+            want = xor(*(store.packet(demand[k - 1], j) for k, j in t.terms))
+            assert t.payload == want.tobytes()
+
     def test_payload_count_and_order(self):
         arr = construct_special(3, 2, 2)
         store = PacketStore.synthetic(9, arr.f)
@@ -105,6 +89,14 @@ class TestDeliver:
             deliver(MN_4_2, store, [1, 2, 3, 7])
         with pytest.raises(ValueError, match="4 file indices"):
             deliver(MN_4_2, store, [1, 2, 3])
+
+    def test_dimension_mismatch(self):
+        store = PacketStore.synthetic(6, 5)
+        for call in (lambda: deliver(MN_4_2, store, [1, 2, 3, 4]),
+                     lambda: decode_and_verify(MN_4_2, store, [1, 2, 3, 4],
+                                               None)):
+            with pytest.raises(ValueError, match="packets per file"):
+                call()
 
     def test_trace_line_format(self):
         store = PacketStore.synthetic(2, 2, 2, seed=0)
@@ -165,6 +157,30 @@ class TestDecode:
             log.packet_size)
         report = decode_and_verify(MN_4_2, store, [1, 2, 3, 4], tampered)
         assert not report.success
+
+    @pytest.mark.parametrize("size", [2, 8])
+    def test_failing_hash_matches_naive_replay(self, size):
+        store = PacketStore.synthetic(6, 6, size, seed=11)
+        demand = [2, 5, 2, 6]
+        log = deliver(MN_4_2, store, demand)
+        sent = list(log.transmissions)
+        t = sent[1]
+        sent[1] = type(t)(t.symbol, t.terms,
+                          bytes([t.payload[0] ^ 0x80]) + t.payload[1:])
+        tampered = type(log)(tuple(sent), log.packet_size)
+        report = decode_and_verify(MN_4_2, store, demand, tampered)
+        # each decoded row is the payload XOR the other terms' originals;
+        # star rows are the user's own copies
+        files = [store.data[i - 1].copy() for i in demand]
+        for slot in tampered.transmissions:
+            payload = np.frombuffer(slot.payload, dtype=np.uint8)
+            for k, j in slot.terms:
+                others = [store.packet(demand[k2 - 1], j2)
+                          for k2, j2 in slot.terms if k2 != k]
+                files[k - 1][j - 1] = xor(payload, *others)
+        for u, got in zip(report.users, files):
+            assert u.decoded_hash == hashlib.sha256(got.tobytes()).hexdigest()
+            assert u.ok == (u.user not in {k for k, _ in t.terms})
 
     def test_log_from_other_array_flagged(self):
         store = PacketStore.synthetic(6, 6)
