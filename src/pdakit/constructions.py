@@ -123,9 +123,9 @@ def _switches(family: Family) -> tuple[bool, bool]:
 def theorem_params(family: Family, p: ConstructionParams) -> PdaParams:
     """Closed-form (K, F, Z, S) of a vector family, exact big integers."""
     family = Family(family)
-    _check_domain(family, p)
     if family is Family.MN:
         raise ParamDomainError(f"{family} takes (K, t), use mn_params")
+    _check_domain(family, p)
     ext, special = _switches(family)
     q, z, m, t, w = p.q, p.z, p.m, p.t, p.w
     f = q**m if ext else w**t * q**m

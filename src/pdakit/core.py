@@ -95,7 +95,8 @@ class VerificationReport:
 class PdaArray:
     """Immutable F x K grid over {star} | {1..S}; star stored as 0."""
 
-    __slots__ = ("grid",)
+    # _plan holds simulate's delivery plan, built on first use
+    __slots__ = ("grid", "_plan")
 
     def __init__(self, grid):
         g = np.asarray(grid)
@@ -108,6 +109,9 @@ class PdaArray:
         if g.size and int(g.max()) > np.iinfo(np.int32).max:
             raise PdaError("symbol values exceed the int32 grid range")
         g = np.ascontiguousarray(g, dtype=np.int32)
+        if g.base is not None:
+            # a view: the holder of its base could still write the cells
+            g = g.copy()
         g.flags.writeable = False
         object.__setattr__(self, "grid", g)
 

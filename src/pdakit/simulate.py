@@ -18,13 +18,20 @@ when p_s equals the XOR of the slot's terms; one comparison per slot
 decides it.  The star rows are the user's own copies, so a file is exact iff
 all its decoded packets are, and the measured traffic is exactly S packets,
 i.e. rate S/F.
+
+The slots, their terms and the cache audit depend on the array alone, so
+they form a delivery plan that is built on the first deliver or decode and
+kept on the array: further demands only gather packets and XOR them.  A
+PacketStore's data is read-only, so each file's SHA-256 is computed once
+per store and remembered.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +46,8 @@ class PacketStore:
     """Synthetic file library: N files split into F packets each.
 
     data has shape (N, F, packet_size), dtype uint8, reproducible from the
-    recorded seed.
+    recorded seed.  The store keeps it read-only, copying data that is
+    writable or a view of other memory.
     """
 
     n_files: int
@@ -47,6 +55,20 @@ class PacketStore:
     packet_size: int
     seed: int
     data: np.ndarray
+    # file index -> SHA-256 hex digest; data never changes, so neither do they
+    _hashes: dict[int, str] = field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
+
+    def __post_init__(self):
+        data = self.data
+        shape = (self.n_files, self.f, self.packet_size)
+        if not (isinstance(data, np.ndarray) and data.dtype == np.uint8
+                and data.shape == shape):
+            raise ValueError(f"data must be a uint8 array of shape {shape}")
+        if data.flags.writeable or data.base is not None:
+            data = data.copy()
+            data.flags.writeable = False
+            object.__setattr__(self, "data", data)
 
     @classmethod
     def synthetic(cls, n_files: int, f: int,
@@ -65,7 +87,12 @@ class PacketStore:
         return self.data[i - 1, j - 1]
 
     def file_hash(self, i: int) -> str:
-        return hashlib.sha256(self.data[i - 1].tobytes()).hexdigest()
+        """SHA-256 of file i (1-based), computed once per store."""
+        digest = self._hashes.get(i)
+        if digest is None:
+            digest = hashlib.sha256(self.data[i - 1].tobytes()).hexdigest()
+            self._hashes[i] = digest
+        return digest
 
 
 @dataclass(frozen=True)
@@ -126,29 +153,62 @@ def _check_demand(arr: PdaArray, store: PacketStore, demand) -> np.ndarray:
     return d
 
 
-def _slots(arr: PdaArray, store: PacketStore, d: np.ndarray):
-    """Non-star cells sorted by (symbol, column, row), each cell's demanded
-    packet, each slot's XOR of those packets, the slot symbols and each
-    slot's 1-based (user, row) terms."""
-    rows, cols, symbols, starts = _nonzero_sorted(arr.grid)
-    gathered = store.data[d[cols] - 1, rows]
+class _DeliveryPlan:
+    """What deliver and decode_and_verify need of an array, whatever the
+    demand.
+
+    ``rows``, ``cols`` and ``starts`` hold the non-star cells sorted by
+    (symbol, column, row) and bound each slot's cells; ``slot_of`` maps a
+    cell to its slot, ``symbols`` lists the slot symbols and ``slot_terms``
+    each slot's 1-based (user, row) terms.  ``faults`` holds the raw C3
+    pairs of _c3_faults, computed on the first decode; the audit formats
+    them per call, since its messages name the demanded files.
+    """
+
+    def __init__(self, grid: np.ndarray):
+        self.grid = grid
+        self.rows, self.cols, symbols, self.starts = _nonzero_sorted(grid)
+        self.symbols = symbols.tolist()
+        self.slot_of = np.repeat(np.arange(symbols.size),
+                                 np.diff(self.starts))
+        terms = list(zip((self.cols + 1).tolist(), (self.rows + 1).tolist()))
+        bounds = self.starts.tolist()
+        self.slot_terms = [tuple(terms[lo:hi])
+                           for lo, hi in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def faults(self) -> tuple:
+        return tuple(_c3_faults(self.grid, self.rows, self.cols, self.starts))
+
+
+def _plan(arr: PdaArray) -> _DeliveryPlan:
+    """The array's delivery plan, built on first use and kept on the array."""
+    try:
+        return arr._plan
+    except AttributeError:
+        plan = _DeliveryPlan(arr.grid)
+        object.__setattr__(arr, "_plan", plan)
+        return plan
+
+
+def _slots(plan: _DeliveryPlan, store: PacketStore, d: np.ndarray):
+    """Each cell's demanded packet and each slot's XOR of those packets."""
+    gathered = store.data[d[plan.cols] - 1, plan.rows]
     # XOR whole machine words; the widest that divides a packet
     words = gathered.view(f"u{math.gcd(store.packet_size, 8)}")
-    totals = np.bitwise_xor.reduceat(words, starts[:-1], axis=0).view(np.uint8)
-    terms = list(zip((cols + 1).tolist(), (rows + 1).tolist()))
-    bounds = starts.tolist()
-    slot_terms = [tuple(terms[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    return rows, cols, starts, gathered, totals, symbols.tolist(), slot_terms
+    totals = np.bitwise_xor.reduceat(words, plan.starts[:-1], axis=0)
+    return gathered, totals.view(np.uint8)
 
 
 def deliver(arr: PdaArray, store: PacketStore, demand) -> TransmissionLog:
     """Broadcast one XOR payload per symbol, ascending symbol order."""
     _check_store(arr, store)
     d = _check_demand(arr, store, demand)
-    *_, totals, symbols, slot_terms = _slots(arr, store, d)
+    plan = _plan(arr)
+    _, totals = _slots(plan, store, d)
     return TransmissionLog(tuple(
         Transmission(s, terms, payload.tobytes())
-        for s, terms, payload in zip(symbols, slot_terms, totals)
+        for s, terms, payload in zip(plan.symbols, plan.slot_terms, totals)
     ), store.packet_size)
 
 
@@ -165,12 +225,13 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     rest_s = p_s XOR (all terms of s).  So every packet of slot s decodes
     exactly iff rest_s is zero, and a user fails iff one of its cells lies
     in a slot with non-zero rest.  Only a failing user's file is put
-    together, for its hash; each distinct demanded file is hashed once.
+    together, for its hash; the store hashes each demanded file once.
     """
     _check_store(arr, store)
     d = _check_demand(arr, store, demand)
-    rows, cols, starts, gathered, totals, symbols, slot_terms = _slots(
-        arr, store, d)
+    plan = _plan(arr)
+    rows, cols = plan.rows, plan.cols
+    gathered, totals = _slots(plan, store, d)
 
     user_problems: dict[int, list[str]] = {u: [] for u in range(arr.k)}
     global_problems: list[str] = []
@@ -180,18 +241,17 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     if log.packet_size != store.packet_size:
         global_problems.append(
             f"log packet size {log.packet_size} != store {store.packet_size}")
-    if [t.symbol for t in sent] != symbols:
+    if [t.symbol for t in sent] != plan.symbols:
         global_problems.append("log symbols do not match the array")
     else:
-        for t, expect in zip(sent, slot_terms):
+        for t, expect in zip(sent, plan.slot_terms):
             if t.terms != expect or len(t.payload) != store.packet_size:
                 global_problems.append(f"log entry for symbol {t.symbol} "
                                        "does not match the array")
                 break
 
     # cache-membership audit: every cancellation term must be held
-    for s, (r1, c1), (r2, c2), uncached in _c3_faults(arr.grid, rows, cols,
-                                                      starts):
+    for s, (r1, c1), (r2, c2), uncached in plan.faults:
         if c1 == c2:
             user_problems[c1].append(
                 f"symbol {s} occurs twice in column {c1 + 1} "
@@ -215,8 +275,7 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
             b"".join(t.payload for t in sent), dtype=np.uint8,
         ).reshape(len(sent), store.packet_size)
         rest = payloads ^ totals
-        slot_of = np.repeat(np.arange(len(sent)), np.diff(starts))
-        wrong = set(cols[rest.any(axis=1)[slot_of]].tolist())
+        wrong = set(cols[rest.any(axis=1)[plan.slot_of]].tolist())
 
     hashes = {i: store.file_hash(i) for i in set(d.tolist())}
     users = []
@@ -229,7 +288,7 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
         if decodable and not problems and not ok:
             mine = cols == u
             got = store.data[i - 1].copy()
-            got[rows[mine]] = gathered[mine] ^ rest[slot_of[mine]]
+            got[rows[mine]] = gathered[mine] ^ rest[plan.slot_of[mine]]
             decoded_hash = hashlib.sha256(got.tobytes()).hexdigest()
             problems = (f"decoded file differs from file {i}",)
         users.append(UserDecodeResult(u + 1, i, ok, expected, decoded_hash,

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from helpers import FIXTURES, fixture_text
+from pdakit import _kernels
 from pdakit.cli import main
 
 
@@ -167,6 +168,17 @@ class TestSimulate:
                            "--random-demands", "5", "--seed", "3")
         assert code == 0
         assert out.count("decode=ok") == 5
+
+    def test_random_demands_scan_pairs_once(self, capsys, monkeypatch):
+        # the C3 audit is part of the array's delivery plan, not the demand
+        calls = []
+        scan = _kernels.c3_pair_scan
+        monkeypatch.setattr(_kernels, "c3_pair_scan",
+                            lambda *args: calls.append(1) or scan(*args))
+        code, out, _ = run(capsys, "simulate", str(FIXTURES / "mn_k4_t2.pda"),
+                           "--random-demands", "5", "--seed", "3")
+        assert code == 0 and out.count("decode=ok") == 5
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_random_demands_not_positive_exit_2(self, capsys, count):

@@ -183,6 +183,10 @@ class TestDomains:
             with pytest.raises(ParamDomainError, match="fixes t = 1"):
                 construct(family, ConstructionParams(3, 2, 2, 2))
 
+    def test_theorem_params_refers_mn_to_mn_params(self):
+        with pytest.raises(ParamDomainError, match="use mn_params"):
+            theorem_params("mn", ConstructionParams(3, 2, 2, 2))
+
     def test_q_below_two_rejected(self):
         with pytest.raises(ParamDomainError, match="q must"):
             construct_ext_special(1, 0, 1)

@@ -36,6 +36,12 @@ class TestPdaArray:
         with pytest.raises(ValueError):
             MN_4_2.grid[0, 0] = 5
 
+    def test_grid_not_shared_with_writable_base(self):
+        base = np.array([[0, 1], [1, 0]], dtype=np.int32)
+        arr = PdaArray(base[:, :])
+        base[0, 0] = 5
+        assert arr.grid.tolist() == [[0, 1], [1, 0]]
+
 
 class TestVerify:
     def test_known_valid_array(self):

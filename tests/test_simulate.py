@@ -40,6 +40,37 @@ class TestPacketStore:
         with pytest.raises(ValueError):
             PacketStore.synthetic(0, 3, 8)
 
+    @pytest.mark.parametrize("data", [
+        np.zeros((2, 3, 8), dtype=np.int64),
+        np.zeros((2, 3, 4), dtype=np.uint8),
+        np.zeros((3, 8), dtype=np.uint8),
+        [[[0] * 8] * 3] * 2,
+    ])
+    def test_direct_data_checked(self, data):
+        with pytest.raises(ValueError, match="uint8 array of shape"):
+            PacketStore(2, 3, 8, 0, data)
+
+    def test_direct_data_frozen(self):
+        data = np.arange(48, dtype=np.uint8).reshape(2, 3, 8)
+        view = data[:, :, :]
+        view.flags.writeable = False
+        for given in (data, view):
+            store = PacketStore(2, 3, 8, 0, given)
+            assert not store.data.flags.writeable
+            before = store.file_hash(1)
+            data[0, 0, 0] ^= 0xFF
+            assert store.file_hash(1) == before
+            assert store.file_hash(1) == PacketStore(
+                2, 3, 8, 0, store.data.copy()).file_hash(1)
+
+    def test_hash_memo_hidden(self):
+        a = PacketStore.synthetic(2, 3, 8, seed=4)
+        b = PacketStore.synthetic(2, 3, 8, seed=4)
+        a.file_hash(1)
+        assert repr(a) == repr(b)
+        assert a.file_hash(2) == hashlib.sha256(
+            a.data[1].tobytes()).hexdigest()
+
 
 class TestDeliver:
     def test_two_user_payload_bytes(self):
@@ -201,6 +232,34 @@ class TestDecode:
         assert not any(u.ok for u in report.users)
         assert report.rate == Fraction(5, 6)
         assert report.bytes_sent == 5 * store.packet_size
+
+    def test_plan_reused_across_logs(self):
+        # one array object decodes honest, tampered, then honest logs
+        store = PacketStore.synthetic(6, 6, 8, seed=2)
+        demand = [2, 1, 6, 2]
+        log = deliver(MN_4_2, store, demand)
+        t = log.transmissions[2]
+        flipped = type(log)(log.transmissions[:2] + (type(t)(
+            t.symbol, t.terms, bytes([t.payload[0] ^ 4]) + t.payload[1:]),)
+            + log.transmissions[3:], log.packet_size)
+        logs = (log, flipped, log)
+        shared = [decode_and_verify(MN_4_2, store, demand, x) for x in logs]
+        fresh = [decode_and_verify(PdaArray(MN_4_2.grid.copy()), store,
+                                   demand, x) for x in logs]
+        assert shared == fresh
+        assert [r.success for r in shared] == [True, False, True]
+
+    def test_faulty_array_audit_names_each_demands_file(self):
+        # symbol 1 at (1,1) and (2,2): neither user caches the other's term
+        arr = PdaArray.from_rows([[1, 2], [2, 1]])
+        store = PacketStore.synthetic(3, 2, 4, seed=0)
+        for demand in ([1, 3], [2, 1]):
+            report = run_simulation(arr, store, demand)
+            fresh = run_simulation(PdaArray(arr.grid.copy()), store, demand)
+            assert report == fresh and not report.success
+            u1, u2 = report.users
+            assert any(f"file {demand[1]}, row 2" in p for p in u1.problems)
+            assert any(f"file {demand[0]}, row 1" in p for p in u2.problems)
 
     def test_deterministic_payloads(self):
         store = PacketStore.synthetic(6, 6, seed=5)
