@@ -71,3 +71,64 @@ def naive_params(rows):
     assert len(set(counts)) == 1
     syms = {v for row in rows for v in row if v != "*"}
     return (k, f, counts[0], max(syms))
+
+
+NAIVE_CELL_CAP = 10_000_000
+NAIVE_SYMBOL_MAX = 2**31 - 1
+
+
+def _naive_number(tok: str):
+    """Value of a token of ASCII decimal digits, or None."""
+    if not tok or any(ch not in "0123456789" for ch in tok):
+        return None
+    return int(tok)
+
+
+def naive_parse(text: str):
+    """The README grammar, read line by line with no numpy.
+
+    Returns ("ok", (K, F, Z, S), rows) with rows of '*'/int cells,
+    ("cap",) when F*K is above the cell cap, or ("error", line, token)
+    naming the 1-based position a parse error reports (None where the
+    error has no position).  Lines end in "\\n" and tokens are separated
+    by spaces and tabs; other control characters are not modelled.
+    """
+    if text and not text.endswith("\n"):
+        return ("error", None, None)
+    content = []
+    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
+        toks = [t for t in line.replace("\t", " ").split(" ") if t]
+        if toks and not toks[0].startswith("#"):
+            content.append((lineno, toks))
+    if not content:
+        return ("error", None, None)
+    lineno, toks = content[0]
+    if len(toks) != 4:
+        return ("error", lineno, None)
+    header = []
+    for col, (tok, least) in enumerate(zip(toks, (1, 1, 0, 0)), start=1):
+        value = _naive_number(tok)
+        if value is None or value < least:
+            return ("error", lineno, col)
+        header.append(value)
+    k, f = header[0], header[1]
+    if k * f > NAIVE_CELL_CAP:
+        return ("cap",)
+    body = content[1:]
+    if len(body) != f:
+        return ("error", body[-1][0] if body else lineno, None)
+    rows = []
+    for lineno, toks in body:
+        if len(toks) != k:
+            return ("error", lineno, None)
+        row = []
+        for col, tok in enumerate(toks, start=1):
+            if tok == "*":
+                row.append("*")
+                continue
+            value = _naive_number(tok)
+            if value is None or not 1 <= value <= NAIVE_SYMBOL_MAX:
+                return ("error", lineno, col)
+            row.append(value)
+        rows.append(row)
+    return ("ok", tuple(header), rows)
