@@ -127,6 +127,13 @@ class TestVerify:
         assert code == 2
         assert "parse error: line 2, token 2" in err
 
+    def test_header_above_cell_cap_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "huge.pda"
+        path.write_text("100000 1000 0 1\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (3, "")
+        assert "cap of 10000000" in err
+
     def test_empty_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "empty.pda"
         bad.write_text("")

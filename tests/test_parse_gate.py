@@ -191,7 +191,8 @@ def test_random_grids_round_trip(rows):
     assert naive_parse(text)[2] == rows
 
 
-EDIT_CHARS = "0123456789* \t\n#x-"
+# "+", "_" and non-ASCII digits are not decimal tokens, though int() takes them
+EDIT_CHARS = "0123456789* \t\n#x-+_\u0663"
 
 
 @settings(max_examples=300)
