@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subset size (vector families, default 1); "
                         "cached fraction t for the mn family")
     c.add_argument("--k", type=int, help="user count (mn family only)")
-    c.add_argument("--max-cells", type=int,
-                   default=constructions.DEFAULT_CELL_CAP)
     _common(c)
 
     v = subs.add_parser("verify", help="check a file against C1-C3")
@@ -131,8 +129,7 @@ def _cmd_construct(args) -> int:
         if args.k is None or args.t is None:
             print("construct: mn needs --k and --t", file=sys.stderr)
             return EXIT_USAGE
-        arr = constructions.construct_mn(args.k, args.t,
-                                         max_cells=args.max_cells)
+        arr = constructions.construct_mn(args.k, args.t)
     else:
         if args.q is None or args.z is None or args.m is None:
             print("construct: vector families need --q, --z and --m",
@@ -140,7 +137,7 @@ def _cmd_construct(args) -> int:
             return EXIT_USAGE
         p = ConstructionParams(args.q, args.z, args.m,
                                1 if args.t is None else args.t)
-        arr = constructions.construct(family, p, max_cells=args.max_cells)
+        arr = constructions.construct(family, p)
     arr = canonicalize(arr)
     params = params_of(arr)
     _Out(args.out).write(textio.emit(arr))

@@ -28,8 +28,12 @@ closing block of q columns keyed by the row digit sum
 u = (sum(a) - e_0 (q-z)) mod q, with e_0 = 0 for ext-special.  Enumeration
 orders (rows: e outermost then a, first digit fastest; columns: d outermost,
 then e, then b) are fixed so a given tuple always yields the identical
-array.  construct_general, construct_special, construct_ext_general and
-construct_ext_special are shorthands for construct.
+array.  construct builds the row digits (a, e) and the column digits
+(delta, e, b) as integer tables once each and evaluates the cell rule over
+the row x column digit tables by broadcasting, one pass per digit position.
+construct_general, construct_special, construct_ext_general and
+construct_ext_special are shorthands for construct.  Every constructor
+refuses an array above CELL_CAP cells, the limit the .pda parser applies.
 
 theorem_params evaluates the closed-form (K, F, Z, S) of each family in
 exact big-integer arithmetic without building anything, so it stays usable
@@ -52,7 +56,8 @@ import numpy as np
 
 from .core import PdaArray, PdaParams
 
-DEFAULT_CELL_CAP = 10_000_000
+# the one cell limit (F*K) of construct and of the .pda parser
+CELL_CAP = 10_000_000
 
 
 class ParamDomainError(ValueError):
@@ -146,141 +151,103 @@ def mn_params(k: int, t: int) -> PdaParams:
     return PdaParams(k=k, f=comb(k, t), z=comb(k - 1, t - 1), s=comb(k, t + 1))
 
 
-def _check_cap(params: PdaParams, max_cells: int) -> None:
+def _check_cap(params: PdaParams) -> None:
     cells = params.f * params.k
-    if cells > max_cells:
+    if cells > CELL_CAP:
         raise SizeCapError(
-            f"array would hold {cells} cells, above the cap of {max_cells}")
+            f"array would hold {cells} cells, above the cap of {CELL_CAP}")
 
 
-def _row_digits(idx: np.ndarray, radix: int, count: int,
-                unit: int = 1) -> np.ndarray:
-    """Digits of idx in the given radix, first digit fastest-varying."""
-    out = np.empty((idx.shape[0], count), dtype=np.int64)
+def _digits(idx: np.ndarray, radix: int, count: int,
+            unit: int = 1) -> np.ndarray:
+    """Digits of idx // unit in the given radix, first digit fastest."""
+    out = np.empty((idx.shape[0], count), dtype=idx.dtype)
     for i in range(count):
         out[:, i] = (idx // (unit * radix**i)) % radix
     return out
 
 
-def _digit_tuples(radix: int, count: int) -> list[list[int]]:
-    """Every count-digit vector over Z_radix, first digit fastest-varying."""
-    return _row_digits(np.arange(radix**count), radix, count).tolist()
-
-
-def _vector_block(A: np.ndarray, E, q: int, z: int,
-                  wa: np.ndarray, we: np.ndarray, base: np.ndarray,
-                  delta: tuple[int, ...], b: tuple[int, ...]) -> np.ndarray:
-    """One column of the digit-vector cell rule; 0 marks the stars.
-
-    E is (F, t) row digits or a length-t tuple of column digits; both index
-    the same replacement rule.
-    """
-    f = A.shape[0]
-    star = np.zeros(f, dtype=bool)
-    sym = base.copy()
-    for i, d in enumerate(delta):
-        a_d = A[:, d]
-        star |= ((b[i] - a_d) % q) < z
-        eps = E[:, i] if isinstance(E, np.ndarray) else E[i]
-        sym += ((b[i] - eps * (q - z)) % q - a_d) * wa[d]
-        sym += ((a_d - b[i] - 1) % q) * we[i]
-    np.add(sym, 1, out=sym)
-    sym[star] = 0
-    return sym
-
-
 def _weights(q: int, z: int, m: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     # mixed radix: m leading digits in base q, t trailing in base q-z
     wa = np.array([(q**(m - 1 - l)) * (q - z)**t for l in range(m)],
-                  dtype=np.int64)
-    we = np.array([(q - z)**(t - 1 - i) for i in range(t)], dtype=np.int64)
+                  dtype=np.int32)
+    we = np.array([(q - z)**(t - 1 - i) for i in range(t)], dtype=np.int32)
     return wa, we
 
 
-def _closing_block(A: np.ndarray, u: np.ndarray, q: int, z: int,
-                   base: np.ndarray) -> np.ndarray:
-    """The q extra columns keyed by the row digit sum u; t = 1 throughout."""
-    f = A.shape[0]
-    block = np.empty((f, q), dtype=np.int64)
-    for b in range(q):
-        star = ((u - b) % q) < z
-        sym = base + (b - u - 1) % q + 1
-        sym[star] = 0
-        block[:, b] = sym
-    return block
-
-
-def construct(family: Family, p: ConstructionParams,
-              max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
+def construct(family: Family, p: ConstructionParams) -> PdaArray:
     """Build a digit-vector family from its generator tuple.
 
     The e digits index the rows, or the columns for the ext families; columns
-    run over delta, then (ext only) the e digits, then beta.
+    run over delta, then (ext only) the e digits, then beta.  The first K0
+    columns are the vector block; the special families append q more.
     """
     family = Family(family)
     if family is Family.MN:
         raise ParamDomainError("mn takes (K, t); call construct_mn")
     ext, special = _switches(family)
     params = theorem_params(family, p)
-    _check_cap(params, max_cells)
+    _check_cap(params)
     q, z, m, t, w = p.q, p.z, p.m, p.t, p.w
-    idx = np.arange(params.f, dtype=np.int64)
-    A = _row_digits(idx, q, m)
-    if ext:
-        e_choices, e0 = _digit_tuples(w, t), 0
-    else:
-        E = _row_digits(idx, w, t, unit=q**m)
-        e_choices, e0 = [E], E[:, 0]
+    k0 = params.k - (q if special else 0)
+    # every value stays within S <= F*K <= CELL_CAP, so int32 holds it
+    rows = np.arange(params.f, dtype=np.int32)
+    cols = np.arange(k0, dtype=np.int32)
+    A = _digits(rows, q, m)
+    B = _digits(cols, q, t)
+    deltas = np.array(list(itertools.combinations(range(m), t)))
+    D = deltas[cols // (k0 // len(deltas))]
+    # E[..., i] is an (F, 1) row digit or a (1, K0) column digit
+    E = (_digits(cols, w, t, unit=q**t)[None] if ext
+         else _digits(rows, w, t, unit=q**m)[:, None])
     wa, we = _weights(q, z, m, t)
     base = A @ wa
-    grid = np.empty((params.f, params.k), dtype=np.int64)
-    col = 0
-    betas = _digit_tuples(q, t)
-    for delta in itertools.combinations(range(m), t):
-        for eps in e_choices:
-            for b in betas:
-                grid[:, col] = _vector_block(A, eps, q, z, wa, we, base,
-                                             delta, b)
-                col += 1
+    grid = np.empty((params.f, params.k), dtype=np.int32)
+    block = grid[:, :k0]
+    block[:] = base[:, None] + 1
+    star = np.zeros(block.shape, dtype=bool)
+    for i in range(t):
+        a_d, b = A[:, D[:, i]], B[:, i]
+        star |= (b - a_d) % q < z
+        block += ((b - E[..., i] * (q - z)) % q - a_d) * wa[D[:, i]]
+        block += (a_d - b - 1) % q * we[i]
+    block[star] = 0
     if special:
-        u = (A.sum(axis=1) - e0 * (q - z)) % q
-        grid[:, col:] = _closing_block(A, u, q, z, base)
+        # the closing block, keyed by the row digit sum u; t = 1
+        e0 = 0 if ext else E[:, 0, 0]
+        u = ((A.sum(axis=1) - e0 * (q - z)) % q)[:, None]
+        b = np.arange(q)
+        grid[:, k0:] = np.where((u - b) % q < z, 0,
+                                base[:, None] + (b - u - 1) % q + 1)
     return PdaArray(grid)
 
 
-def construct_general(q: int, z: int, m: int, t: int,
-                      max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
+def construct_general(q: int, z: int, m: int, t: int) -> PdaArray:
     """Rows (a, e), columns (d, b); F = w^t q^m, K = C(m,t) q^t."""
-    return construct(Family.GENERAL, ConstructionParams(q, z, m, t), max_cells)
+    return construct(Family.GENERAL, ConstructionParams(q, z, m, t))
 
 
-def construct_special(q: int, z: int, m: int,
-                      max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
+def construct_special(q: int, z: int, m: int) -> PdaArray:
     """General t=1 block plus a closing digit-sum block; K = (m+1) q."""
-    return construct(Family.SPECIAL, ConstructionParams(q, z, m), max_cells)
+    return construct(Family.SPECIAL, ConstructionParams(q, z, m))
 
 
-def construct_ext_general(q: int, z: int, m: int, t: int,
-                          max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
+def construct_ext_general(q: int, z: int, m: int, t: int) -> PdaArray:
     """Rows are bare a-vectors; the e digits move into the column index."""
-    return construct(Family.EXT_GENERAL, ConstructionParams(q, z, m, t),
-                     max_cells)
+    return construct(Family.EXT_GENERAL, ConstructionParams(q, z, m, t))
 
 
-def construct_ext_special(q: int, z: int, m: int,
-                          max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
+def construct_ext_special(q: int, z: int, m: int) -> PdaArray:
     """Ext-general t=1 block plus the closing digit-sum block."""
-    return construct(Family.EXT_SPECIAL, ConstructionParams(q, z, m),
-                     max_cells)
+    return construct(Family.EXT_SPECIAL, ConstructionParams(q, z, m))
 
 
-def construct_mn(k: int, t: int,
-                 max_cells: int = DEFAULT_CELL_CAP) -> PdaArray:
+def construct_mn(k: int, t: int) -> PdaArray:
     """Subset family: rows are the t-subsets of [1..K] in lexicographic
     order; cell (T, u) is a star when u is in T, else the rank of T + {u}
     among the (t+1)-subsets."""
     params = mn_params(k, t)
-    _check_cap(params, max_cells)
+    _check_cap(params)
     row = {sub: j for j, sub in enumerate(itertools.combinations(range(k), t))}
     grid = np.zeros((params.f, k), dtype=np.int64)
     for s, sup in enumerate(itertools.combinations(range(k), t + 1), start=1):

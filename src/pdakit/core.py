@@ -108,10 +108,8 @@ class PdaArray:
             raise PdaError("symbols must be positive; 0 encodes the star")
         if g.size and int(g.max()) > np.iinfo(np.int32).max:
             raise PdaError("symbol values exceed the int32 grid range")
-        g = np.ascontiguousarray(g, dtype=np.int32)
-        if g.base is not None:
-            # a view: the holder of its base could still write the cells
-            g = g.copy()
+        # always a private copy: the caller keeps no handle to write through
+        g = np.array(g, dtype=np.int32, order="C")
         g.flags.writeable = False
         object.__setattr__(self, "grid", g)
 
@@ -289,15 +287,15 @@ def canonicalize(arr: PdaArray) -> PdaArray:
     The star pattern is untouched and the map is a bijection, so validity and
     counted parameters are preserved; the operation is idempotent.
     """
-    flat = arr.grid.ravel()
-    nz = flat[flat != STAR]
-    if nz.size == 0:
-        return PdaArray(arr.grid)
-    vals, first_idx = np.unique(nz, return_index=True)
-    order = np.argsort(first_idx, kind="stable")
-    lut = np.zeros(int(vals.max()) + 1, dtype=np.int32)
-    lut[vals[order]] = np.arange(1, vals.size + 1, dtype=np.int32)
-    return PdaArray(lut[arr.grid])
+    nz = arr.grid != STAR
+    vals, first_idx, inverse = np.unique(arr.grid[nz], return_index=True,
+                                         return_inverse=True)
+    rank = np.empty(vals.size, dtype=np.int32)
+    rank[np.argsort(first_idx, kind="stable")] = np.arange(
+        1, vals.size + 1, dtype=np.int32)
+    out = np.zeros_like(arr.grid)
+    out[nz] = rank[inverse]
+    return PdaArray(out)
 
 
 def equivalent(a: PdaArray, b: PdaArray) -> bool:

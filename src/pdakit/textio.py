@@ -11,7 +11,7 @@ comments and skipped, and a trailing newline is required.  Example::
     * 1
     1 *
 
-A header declaring more than ``DEFAULT_CELL_CAP`` cells (F*K) raises
+A header declaring more than ``CELL_CAP`` cells (F*K) raises
 ``SizeCapError`` before the body is split.  The body is converted in numpy,
 a block of rows at a time; a block holding anything but well-formed tokens
 is read again token by token, and only that reader raises
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constructions import DEFAULT_CELL_CAP, SizeCapError
+from .constructions import CELL_CAP, SizeCapError
 from .core import STAR, PdaArray
 
 
@@ -134,10 +134,10 @@ def parse_with_header(text: str) -> tuple[PdaArray, PdaHeader]:
     z = _int_token(toks[2], lineno, 3, "Z", 0)
     s = _int_token(toks[3], lineno, 4, "S", 0)
     header = PdaHeader(k, f, z, s)
-    if f * k > DEFAULT_CELL_CAP:
+    if f * k > CELL_CAP:
         raise SizeCapError(
             f"header declares {f * k} cells (F={f}, K={k}), above the cap "
-            f"of {DEFAULT_CELL_CAP}")
+            f"of {CELL_CAP}")
 
     body = _content(rest + text[offset:].splitlines(), lineno + 1)
     if len(body) != f:

@@ -44,9 +44,9 @@ class TestConstruct:
         assert "fixes t = 1" in err
 
     def test_cap_exit_3(self, capsys):
+        # F*K = 2*3^14 * 45, above the fixed 10^7-cell cap
         code, _, err = run(capsys, "construct", "--family", "special",
-                           "--q", "3", "--z", "2", "--m", "2",
-                           "--max-cells", "10")
+                           "--q", "3", "--z", "2", "--m", "14")
         assert code == 3
         assert "cap" in err
 
@@ -145,7 +145,8 @@ class TestVerify:
         assert code == 2 and "error" in err
 
     def test_unread_options_exit_2(self, capsys):
-        # --format and --seed belong to the subcommands that read them
+        # --format and --seed belong to the subcommands that read them, and
+        # the cell cap is fixed, not an option
         path = str(FIXTURES / "mn_k4_t2.pda")
         for extra in (["--format", "csv"], ["--seed", "9"]):
             with pytest.raises(SystemExit) as exit_info:
@@ -154,6 +155,10 @@ class TestVerify:
         with pytest.raises(SystemExit) as exit_info:
             main(["construct", "--family", "mn", "--k", "4", "--t", "2",
                   "--seed", "1"])
+        assert exit_info.value.code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["construct", "--family", "special", "--q", "3", "--z", "2",
+                  "--m", "2", "--max-cells", "10"])
         assert exit_info.value.code == 2
         with pytest.raises(SystemExit) as exit_info:
             main(["simulate", path, "--format", "csv"])

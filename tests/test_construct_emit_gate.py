@@ -2,12 +2,17 @@
 
 The digests were recorded before construct_mn stopped ranking subsets one
 at a time and before emit stopped formatting numpy scalars, so any change
-of array or of output byte shows here.
+of array or of output byte shows here.  The wide vector-family digest was
+recorded before construct filled its grid from row and column digit tables;
+it reaches every t = 3 array and every q of 7-9 that standard_sweep leaves
+out.
 """
 
 import hashlib
 
-from pdakit import construct, construct_mn, emit, standard_sweep
+from pdakit import (ConstructionParams, Family, construct, construct_mn, emit,
+                    standard_sweep, theorem_params)
+from pdakit.constructions import VECTOR_FAMILIES
 
 MN_CASES = ((2, 1), (4, 2), (6, 3), (8, 4), (12, 11), (16, 8), (20, 3),
             (24, 4), (30, 1))
@@ -35,3 +40,30 @@ def test_emitted_text_unchanged():
     assert (count, h.hexdigest()) == (
         225,
         "08fb6b5c670e814aee58a95238262c1c700b4b7558f9d07ad8666ebf36348200")
+
+
+def wide_vector_cases():
+    """Vector-family tuples on a wider grid than standard_sweep: q 2-9, t
+    up to 3, m up to 5, at most 50k cells; t = 1 for the special families."""
+    for family in VECTOR_FAMILIES:
+        special = family in (Family.SPECIAL, Family.EXT_SPECIAL)
+        for q in range(2, 10):
+            for z in range(1, q):
+                for t in (1,) if special else (1, 2, 3):
+                    for m in range(t + 1, 6):
+                        p = ConstructionParams(q, z, m, t)
+                        tp = theorem_params(family, p)
+                        if tp.f * tp.k <= 50_000:
+                            yield family, p
+
+
+def test_wide_vector_arrays_unchanged():
+    h = hashlib.sha256()
+    count = 0
+    for family, p in wide_vector_cases():
+        h.update(repr((family.value, p.q, p.z, p.m, p.t)).encode())
+        h.update(construct(family, p).grid.tobytes())
+        count += 1
+    assert (count, h.hexdigest()) == (
+        387,
+        "23e447e997f6092e865a4523ff74f540834bf6308f864bb6c667e76cef52324e")

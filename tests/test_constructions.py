@@ -198,8 +198,9 @@ class TestDomains:
             construct_mn(4, 0)
 
     def test_cell_cap(self):
+        # F*K = 2*3^12 * 36, above the fixed 10^7-cell cap
         with pytest.raises(SizeCapError, match="cap"):
-            construct_general(3, 2, 2, 1, max_cells=50)
+            construct_general(3, 2, 12, 1)
 
 
 class TestSweepAndSpecializations:

@@ -1,13 +1,14 @@
 """Data model, verifier, canonical form, equivalence."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import fixture_text, naive_check
-from pdakit import (PdaArray, PdaError, PdaParams, canonicalize, equivalent,
-                    params_of, parse, verify_pda)
+from pdakit import (PacketStore, PdaArray, PdaError, PdaParams, canonicalize,
+                    deliver, equivalent, params_of, parse, verify_pda)
 
 MN_4_2 = parse(fixture_text("mn_k4_t2.pda"))
 GEN_18x6 = parse(fixture_text("general_q3_z2_m2_t1.pda"))
@@ -41,6 +42,18 @@ class TestPdaArray:
         arr = PdaArray(base[:, :])
         base[0, 0] = 5
         assert arr.grid.tolist() == [[0, 1], [1, 0]]
+
+    def test_grid_not_shared_with_owning_input(self):
+        # an owning int32 input is copied too, so the cached delivery plan
+        # cannot go stale under a caller's later write
+        g = np.array([[0, 1], [1, 0]], dtype=np.int32)
+        arr = PdaArray(g)
+        store = PacketStore.synthetic(2, 2, 8, seed=1)
+        before = deliver(arr, store, [1, 2])
+        g.flags.writeable = True
+        g[0, 0] = 2
+        assert arr.grid.tolist() == [[0, 1], [1, 0]]
+        assert deliver(arr, store, [1, 2]) == before
 
 
 class TestVerify:
@@ -195,6 +208,18 @@ class TestCanonicalize:
     def test_row_major_order(self):
         arr = PdaArray.from_rows([[3, 1], [1, 3]])
         assert canonicalize(arr).to_rows() == [[1, 2], [2, 1]]
+
+    def test_sparse_huge_symbols(self):
+        # memory follows the cell count, not the largest symbol
+        arr = PdaArray([[0, 2147483647], [2147483647, 0]])
+        tracemalloc.start()
+        try:
+            canon = canonicalize(arr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert canon.to_rows() == [["*", 1], [1, "*"]]
+        assert peak < 1 << 20
 
 
 class TestEquivalent:
