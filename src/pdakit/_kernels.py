@@ -1,13 +1,21 @@
 """The same-symbol pair scan behind condition C3.
 
 It is the hot inner loop of the C3 classifier in ``core``, which the
-validity checker and the decoder's cache audit both read.  All intra-group
-pairs are materialised in one shot (no per-group python loop): element e of
-a group ending at ``end`` pairs, as the first member, with the
-``end - e - 1`` elements after it.
+validity checker and the decoder's cache audit both read.  For a symbol
+with g cells, C3 says that the g x g block ``grid[rows, cols]`` over its
+cells is a star off its diagonal: entry (a, b) of the block is the cross
+cell (row of cell a, column of cell b).  The scan gathers the blocks of all
+groups of one size together, in tiles of at most CHUNK_CELLS cells (whole
+blocks of several groups, or bands of one block when g^2 alone is too big),
+so its temporaries stay bounded.  A tile whose only non-stars are its
+diagonal cells holds no fault and costs one count; only a tile that fails
+that count lists its non-star entries.
 """
 
 import numpy as np
+
+# the most block entries one tile gathers
+CHUNK_CELLS = 1 << 22
 
 
 def c3_pair_scan(grid, rows, cols, starts):
@@ -17,23 +25,41 @@ def c3_pair_scan(grid, rows, cols, starts):
     rectangle it spans is not a star.  A pair sharing a row or a column has
     its own cells as cross cells, so it is always bad.  ``rows`` and
     ``cols`` hold the non-star cells grouped by symbol; ``starts`` bounds the
-    groups.  All indices are 0-based.
+    groups.  Pairs come by group, then by the position of the first cell in
+    its group, then of the second.  All indices are 0-based.
     """
     nnz = rows.shape[0]
-    if nnz == 0:
-        return []
+    flat = grid.ravel()
+    width = grid.shape[1]
     counts = np.diff(starts)
-    ends = np.repeat(starts[1:], counts)
-    rem = ends - np.arange(nnz) - 1
-    total = int(rem.sum())
-    if total == 0:
+    keys = []
+    # the group sizes present, from 2 up
+    for g in (np.flatnonzero(np.bincount(counts)[2:]) + 2).tolist():
+        # tile: n groups x h block rows x w block columns
+        w = min(g, CHUNK_CELLS)
+        h = min(g, CHUNK_CELLS // w)
+        n = CHUNK_CELLS // (h * w)
+        groups = starts[:-1][counts == g]
+        for i in range(0, groups.size, n):
+            base = groups[i:i + n, None]
+            for a in range(0, g, h):
+                cell_a = base + np.arange(a, min(a + h, g))
+                for b in range(0, g, w):
+                    cell_b = base + np.arange(b, min(b + w, g))
+                    x = flat[(rows[cell_a] * width)[:, :, None]
+                             + cols[cell_b][:, None, :]]
+                    # the diagonal entries are the group's own cells
+                    diag = max(0, min(a + h, b + w, g) - max(a, b))
+                    if np.count_nonzero(x) == base.shape[0] * diag:
+                        continue
+                    j, p, q = np.nonzero(x)
+                    e1, e2 = cell_a[j, p], cell_b[j, q]
+                    off = e1 != e2
+                    e1, e2 = e1[off], e2[off]
+                    keys.append(np.minimum(e1, e2) * nnz + np.maximum(e1, e2))
+    if not keys:
         return []
-    first = np.repeat(np.arange(nnz), rem)
-    before = np.concatenate(([0], np.cumsum(rem)[:-1]))
-    second = first + (np.arange(total) - before[first]) + 1
-
-    r1, c1 = rows[first], cols[first]
-    r2, c2 = rows[second], cols[second]
-    bad = np.flatnonzero((grid[r1, c2] != 0) | (grid[r2, c1] != 0))
-    return list(zip(r1[bad].tolist(), c1[bad].tolist(),
-                    r2[bad].tolist(), c2[bad].tolist()))
+    # a pair with both cross cells non-star was found twice, once per cell
+    first, second = np.divmod(np.unique(np.concatenate(keys)), nnz)
+    return list(zip(rows[first].tolist(), cols[first].tolist(),
+                    rows[second].tolist(), cols[second].tolist()))

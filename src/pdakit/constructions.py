@@ -219,7 +219,7 @@ def construct(family: Family, p: ConstructionParams) -> PdaArray:
         b = np.arange(q)
         grid[:, k0:] = np.where((u - b) % q < z, 0,
                                 base[:, None] + (b - u - 1) % q + 1)
-    return PdaArray(grid)
+    return PdaArray._owned(grid)
 
 
 def construct_general(q: int, z: int, m: int, t: int) -> PdaArray:
@@ -248,12 +248,23 @@ def construct_mn(k: int, t: int) -> PdaArray:
     among the (t+1)-subsets."""
     params = mn_params(k, t)
     _check_cap(params)
-    row = {sub: j for j, sub in enumerate(itertools.combinations(range(k), t))}
-    grid = np.zeros((params.f, k), dtype=np.int64)
-    for s, sup in enumerate(itertools.combinations(range(k), t + 1), start=1):
-        for i, u in enumerate(sup):
-            grid[row[sup[:i] + sup[i + 1:]], u] = s
-    return PdaArray(grid)
+    # symbol s is the s-th (t+1)-subset, one row of sup
+    sup = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(k), t + 1)),
+        dtype=np.int64, count=params.s * (t + 1)).reshape(params.s, t + 1)
+    # the lexicographic rank of a t-subset x is C(k,t) - 1 minus the sum of
+    # C(k-1-x_j, t-j); as x_j = j + d with 0 <= d <= k-t, that term is
+    # binom[d, j]
+    pos = np.arange(t)
+    binom = np.array([[comb(k - 1 - j - d, t - j) for j in range(t)]
+                      for d in range(k - t + 1)], dtype=np.int64)
+    symbols = np.arange(1, params.s + 1, dtype=np.int32)
+    grid = np.zeros((params.f, k), dtype=np.int32)
+    for i in range(t + 1):
+        sub = np.delete(sup, i, axis=1)
+        rank = params.f - 1 - binom[sub - pos, pos].sum(axis=1)
+        grid[rank, sup[:, i]] = symbols
+    return PdaArray._owned(grid)
 
 
 def standard_sweep(max_cells: int = 1_000_000):

@@ -113,6 +113,15 @@ class PdaArray:
         g.flags.writeable = False
         object.__setattr__(self, "grid", g)
 
+    @classmethod
+    def _owned(cls, grid: np.ndarray) -> "PdaArray":
+        """Wrap a freshly built int32 C-contiguous grid of cells >= 0 that
+        no one else holds: no copy and no value scan."""
+        arr = cls.__new__(cls)
+        grid.flags.writeable = False
+        object.__setattr__(arr, "grid", grid)
+        return arr
+
     def __setattr__(self, name, value):
         raise AttributeError("PdaArray is immutable")
 
@@ -160,17 +169,32 @@ class PdaArray:
         return f"PdaArray(F={self.f}, K={self.k})"
 
 
+def _by_symbol(vals: np.ndarray):
+    """Stable argsort of the symbols ``vals``, the sorted symbols, and the
+    position where each symbol's run opens in them.
+
+    It is one sort of the int64 key (symbol, place): symbols are below
+    2^31, and places must stay below 2^32.
+    """
+    if vals.size >> 32:
+        raise PdaError("grid holds 2^32 or more non-star cells")
+    key = vals.astype(np.int64)
+    key <<= 32
+    key |= np.arange(vals.size)
+    key.sort()
+    order = key & 0xFFFFFFFF
+    key >>= 32
+    heads = np.ones(vals.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=heads[1:])
+    return order, key, np.flatnonzero(heads)
+
+
 def _nonzero_sorted(grid: np.ndarray):
-    """Non-star cells sorted by (symbol, column), plus group starts."""
-    rows, cols = np.nonzero(grid)
-    vals = grid[rows, cols]
-    order = np.lexsort((rows, cols, vals))
-    rows = rows[order].astype(np.int64)
-    cols = cols[order].astype(np.int64)
-    vals = vals[order]
-    uniq, starts = np.unique(vals, return_index=True)
-    starts = np.concatenate((starts, [vals.shape[0]])).astype(np.int64)
-    return rows, cols, uniq.astype(np.int64), starts
+    """Non-star cells sorted by (symbol, column, row), plus group starts."""
+    # nonzero of the transpose comes in (column, row) order
+    cols, rows = np.nonzero(grid.T)
+    order, vals, heads = _by_symbol(grid[rows, cols])
+    return rows[order], cols[order], vals[heads], np.append(heads, vals.size)
 
 
 def _c3_faults(grid: np.ndarray, rows, cols, starts):
@@ -206,8 +230,9 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
     None, Z is the most common column star count and S the largest symbol
     present.  C2 names at most C2_LISTED missing symbols, then one
     "<n> more symbols never occur" holds the exact count of the rest, so a
-    huge declared S stays cheap.  Cost of the C3 pass is sum over symbols of
-    (count choose 2), grouped by symbol, never (F*K)^2.
+    huge declared S stays cheap.  The C3 pass gathers, for each symbol of
+    g cells, the g x g block of its cross cells: sum over symbols of g^2
+    cells, in bounded chunks, never (F*K)^2.
     """
     grid = arr.grid
     violations: list[Violation] = []
@@ -287,15 +312,16 @@ def canonicalize(arr: PdaArray) -> PdaArray:
     The star pattern is untouched and the map is a bijection, so validity and
     counted parameters are preserved; the operation is idempotent.
     """
-    nz = arr.grid != STAR
-    vals, first_idx, inverse = np.unique(arr.grid[nz], return_index=True,
-                                         return_inverse=True)
-    rank = np.empty(vals.size, dtype=np.int32)
-    rank[np.argsort(first_idx, kind="stable")] = np.arange(
-        1, vals.size + 1, dtype=np.int32)
-    out = np.zeros_like(arr.grid)
-    out[nz] = rank[inverse]
-    return PdaArray(out)
+    flat = arr.grid.ravel()
+    cells = np.flatnonzero(flat)
+    # each symbol's run opens on its first appearance in row-major order
+    order, _, heads = _by_symbol(flat[cells])
+    rank = np.empty(heads.size, dtype=np.int32)
+    rank[np.argsort(order[heads])] = np.arange(1, heads.size + 1,
+                                               dtype=np.int32)
+    out = np.zeros(flat.size, dtype=np.int32)
+    out[cells[order]] = np.repeat(rank, np.diff(np.append(heads, cells.size)))
+    return PdaArray._owned(out.reshape(arr.grid.shape))
 
 
 def equivalent(a: PdaArray, b: PdaArray) -> bool:

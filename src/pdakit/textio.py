@@ -85,6 +85,10 @@ def _int_token(tok: str, lineno: int, col: int, what: str, minimum: int,
     if value < minimum:
         raise PdaFormatError(
             f"{what} {tok!r} must be at least {minimum}", lineno, col)
+    if tok.startswith("-"):
+        # "-0": numbers are bare digits
+        raise PdaFormatError(f"{what} {tok!r} must not carry a sign",
+                             lineno, col)
     if maximum is not None and value > maximum:
         raise PdaFormatError(
             f"{what} {tok!r} must be at most {maximum}", lineno, col)
@@ -151,7 +155,7 @@ def parse_with_header(text: str) -> tuple[PdaArray, PdaHeader]:
         rows, out = body[lo:lo + step], grid[lo:lo + step]
         if not _convert_rows(rows, k, out):
             _convert_tokens(rows, k, out)
-    return PdaArray(grid), header
+    return PdaArray._owned(grid), header
 
 
 def _convert_rows(rows: list[tuple[int, str]], k: int,

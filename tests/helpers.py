@@ -2,10 +2,15 @@
 
 The naive checker below is deliberately independent of the package: it
 works on plain row lists and tests every pair of cells directly, so it can
-serve as an oracle for the grouped-scan verifier.
+serve as an oracle for the grouped-scan verifier.  The plain C3 pair scan
+and the dict-and-loop subset family are kept as references for the
+block-gather kernel and for construct_mn.
 """
 
+import itertools
 from pathlib import Path
+
+import numpy as np
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -57,6 +62,45 @@ def naive_c2(rows, declared_s=None):
     out += [(tuple((j, c) for j, c, v in cells if v == s),
              f"symbol {s} exceeds S={s_ref}") for s in syms if s > s_ref]
     return out
+
+
+def reference_pair_scan(grid, rows, cols, starts):
+    """(j1, k1, j2, k2) per same-symbol pair breaking C3, from every pair.
+
+    All intra-group pairs are materialised in one shot: element e of a
+    group ending at ``end`` pairs, as the first member, with the
+    ``end - e - 1`` elements after it.  Inputs and output order are those
+    of ``pdakit._kernels.c3_pair_scan``.
+    """
+    nnz = rows.shape[0]
+    if nnz == 0:
+        return []
+    counts = np.diff(starts)
+    ends = np.repeat(starts[1:], counts)
+    rem = ends - np.arange(nnz) - 1
+    total = int(rem.sum())
+    if total == 0:
+        return []
+    first = np.repeat(np.arange(nnz), rem)
+    before = np.concatenate(([0], np.cumsum(rem)[:-1]))
+    second = first + (np.arange(total) - before[first]) + 1
+
+    r1, c1 = rows[first], cols[first]
+    r2, c2 = rows[second], cols[second]
+    bad = np.flatnonzero((grid[r1, c2] != 0) | (grid[r2, c1] != 0))
+    return list(zip(r1[bad].tolist(), c1[bad].tolist(),
+                    r2[bad].tolist(), c2[bad].tolist()))
+
+
+def naive_mn(k, t):
+    """Subset-family grid, one cell per (t+1)-subset member: cell (T, u)
+    holds the 1-based lexicographic index of T + {u}, 0 for u in T."""
+    row = {sub: j for j, sub in enumerate(itertools.combinations(range(k), t))}
+    grid = np.zeros((len(row), k), dtype=np.int64)
+    for s, sup in enumerate(itertools.combinations(range(k), t + 1), start=1):
+        for i, u in enumerate(sup):
+            grid[row[sup[:i] + sup[i + 1:]], u] = s
+    return grid
 
 
 def naive_valid(rows) -> bool:

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from helpers import fixture_text, naive_params, naive_valid
+from helpers import fixture_text, naive_mn, naive_params, naive_valid
 from pdakit import (ConstructionParams, Family, ParamDomainError, PdaParams,
                     SizeCapError, construct, construct_ext_general,
                     construct_ext_special, construct_general, construct_mn,
@@ -131,6 +131,11 @@ class TestMn:
                 p = params_of(construct_mn(k, t))
                 assert p.rate == Fraction(k - t, t + 1)
                 assert p.ratio == Fraction(t, k)
+
+    def test_matches_naive_loop(self):
+        for k in range(2, 15):
+            for t in range(1, k):
+                assert (construct_mn(k, t).grid == naive_mn(k, t)).all()
 
 
 class TestTheoremParams:

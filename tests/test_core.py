@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from helpers import fixture_text, naive_check
-from pdakit import (PacketStore, PdaArray, PdaError, PdaParams, canonicalize,
+from pdakit import (PacketStore, PdaArray, PdaError, PdaParams, _kernels,
+                    canonicalize, construct_ext_general, construct_mn,
                     deliver, equivalent, params_of, parse, verify_pda)
+from pdakit.core import _nonzero_sorted
 
 MN_4_2 = parse(fixture_text("mn_k4_t2.pda"))
 GEN_18x6 = parse(fixture_text("general_q3_z2_m2_t1.pda"))
@@ -54,6 +56,50 @@ class TestPdaArray:
         g[0, 0] = 2
         assert arr.grid.tolist() == [[0, 1], [1, 0]]
         assert deliver(arr, store, [1, 2]) == before
+
+    @pytest.mark.parametrize("build", [
+        lambda: construct_mn(4, 2),
+        lambda: construct_ext_general(2, 1, 2, 1),
+        lambda: canonicalize(MN_4_2),
+        lambda: parse(fixture_text("mn_k4_t2.pda")),
+    ])
+    def test_built_grids_are_read_only(self, build):
+        grid = build().grid
+        assert grid.dtype == np.int32 and grid.flags.c_contiguous
+        with pytest.raises(ValueError):
+            grid[0, 0] = 5
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPairScan:
+    def test_tiles_bound_memory(self, monkeypatch):
+        # one symbol on the diagonal of a 1000 x 1000 grid and in cell
+        # (1, 2): a 1001-cell group whose 1001 x 1001 block spans many tiles
+        grid = np.zeros((1000, 1000), dtype=np.int32)
+        np.fill_diagonal(grid, 1)
+        grid[0, 1] = 1
+        rows, cols, _, starts = _nonzero_sorted(grid)
+        monkeypatch.setattr(_kernels, "CHUNK_CELLS", 1 << 14)
+        scan = lambda: _kernels.c3_pair_scan(grid, rows, cols, starts)
+        scan()  # numpy's lazy imports are not the scan's memory
+        pairs, peak = _peak(scan)
+        assert pairs == [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)]
+        # listing all 500,500 pairs of the group would take over 20 MB
+        assert peak < 1 << 20
+
+    def test_verify_peak_memory(self):
+        arr = construct_ext_general(5, 3, 4, 2)
+        report, peak = _peak(lambda: verify_pda(arr))
+        assert report.valid
+        assert peak < 25 << 20
 
 
 class TestVerify:

@@ -1,13 +1,16 @@
 """Property-based invariants over random grids and construction tuples."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import naive_c2, naive_check
-from pdakit import (ConstructionParams, PacketStore, PdaArray, canonicalize,
-                    construct, emit, equivalent, params_of, parse,
-                    run_simulation, standard_sweep, theorem_params,
+from helpers import naive_c2, naive_check, reference_pair_scan
+from pdakit import (ConstructionParams, PacketStore, PdaArray, _kernels,
+                    canonicalize, construct, emit, equivalent, params_of,
+                    parse, run_simulation, standard_sweep, theorem_params,
                     verify_pda)
+from pdakit.core import _nonzero_sorted
 
 small_grids = st.integers(1, 5).flatmap(
     lambda f: st.integers(1, 5).flatmap(
@@ -31,6 +34,31 @@ def test_c2_listing_matches_naive(cells, declared_s):
     got = [(v.locations, v.detail) for v in report.violations
            if v.condition == "C2"]
     assert got == naive_c2(rows, declared_s)
+
+
+@st.composite
+def scan_grids(draw):
+    """Grids over a few symbols, so group sizes differ, plus one symbol on
+    more than min(F, K) cells, which forces a shared row or column."""
+    f, k = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    grid = np.array(draw(st.lists(st.integers(0, 6), min_size=f * k,
+                                  max_size=f * k)), dtype=np.int32)
+    big = draw(st.permutations(range(f * k)))[:min(f, k) + draw(
+        st.integers(1, 3))]
+    grid[big] = 7
+    return grid.reshape(f, k)
+
+
+@settings(max_examples=200)
+@given(scan_grids(), st.sampled_from([1, 3, 7, 20, 64, 1 << 22]))
+def test_pair_scan_matches_reference(grid, chunk):
+    # small chunks split groups into bands of block rows and columns
+    rows, cols, _, starts = _nonzero_sorted(grid)
+    vals = grid[rows, cols]
+    assert np.array_equal(np.lexsort((rows, cols, vals)), np.arange(vals.size))
+    with mock.patch.object(_kernels, "CHUNK_CELLS", chunk):
+        got = _kernels.c3_pair_scan(grid, rows, cols, starts)
+    assert got == reference_pair_scan(grid, rows, cols, starts)
 
 
 @given(small_grids)

@@ -98,6 +98,15 @@ class TestParse:
             parse_with_header(text)
         assert (err.value.line, err.value.column) == (line, column)
 
+    @pytest.mark.parametrize("text, column", [
+        ("1 1 1 -0\n*\n", 4),
+        ("1 1 -00 1\n1\n", 3),
+    ])
+    def test_signed_zero_rejected(self, text, column):
+        with pytest.raises(PdaFormatError, match="must not carry a sign") as err:
+            parse_with_header(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
     def test_header_shares_newline_with_other_lines(self):
         # str.splitlines also breaks at "\r" and "\x0c"
         arr = parse("# c\r2 2 1 1\r* 1\n1 *\n")
