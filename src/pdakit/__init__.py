@@ -27,7 +27,11 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """Name of the pair-scan implementation; numpy is the only one."""
+    """Name of the pair-scan implementation, recorded with benchmark runs.
+
+    The scan is written in Python over numpy arrays, with no compiled
+    kernel, so this is always ``"python"``.
+    """
     return "python"
 
 

@@ -41,7 +41,6 @@ from math import comb
 
 from .constructions import (VECTOR_FAMILIES, ConstructionParams, Family,
                             _check_qz, _switches, _w, theorem_params)
-from .core import PdaParams
 
 MAX_EXACT_F_BITS = 4096
 
@@ -66,10 +65,6 @@ class SchemeMetrics:
         ln_f = math.log(f)
         return cls(Fraction(ratio), Fraction(rate),
                    f if f.bit_length() <= MAX_EXACT_F_BITS else None, ln_f)
-
-    @classmethod
-    def from_params(cls, params: PdaParams) -> "SchemeMetrics":
-        return cls.exact(params.ratio, params.rate, params.f)
 
 
 @dataclass(frozen=True)

@@ -26,18 +26,13 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-class _Out:
-    """Writer for --out: a path or '-' for stdout."""
-
-    def __init__(self, target: str):
-        self.target = target
-
-    def write(self, text: str) -> None:
-        if self.target == "-":
-            sys.stdout.write(text)
-        else:
-            with open(self.target, "w", encoding="ascii") as fh:
-                fh.write(text)
+def _write(target: str, text: str) -> None:
+    """Write --out: a path, or '-' for stdout."""
+    if target == "-":
+        sys.stdout.write(text)
+    else:
+        with open(target, "w", encoding="ascii") as fh:
+            fh.write(text)
 
 
 def _common(sub: argparse.ArgumentParser, table: bool = False) -> None:
@@ -123,6 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_PARSER = build_parser()
+
+
 def _cmd_construct(args) -> int:
     family = Family(args.family)
     if family is Family.MN:
@@ -140,7 +138,7 @@ def _cmd_construct(args) -> int:
         arr = constructions.construct(family, p)
     arr = canonicalize(arr)
     params = params_of(arr)
-    _Out(args.out).write(textio.emit(arr))
+    _write(args.out, textio.emit(arr))
     print(f"(K,F,Z,S)={params.as_tuple()} M/N={params.ratio} "
           f"R={params.rate}", file=sys.stderr)
     return EXIT_OK
@@ -158,7 +156,7 @@ def _cmd_verify(args) -> int:
         for v in report.violations:
             locs = "".join(f"({j},{k}) " for j, k in v.locations)
             lines.append(f"  {v.condition} {locs}{v.detail}")
-    _Out(args.out).write("\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK if report.valid else EXIT_SEMANTIC
 
 
@@ -173,11 +171,6 @@ def _parse_demand(text: str, k: int) -> list[int]:
 
 
 def _cmd_simulate(args) -> int:
-    arr, _ = textio.load_with_header(args.path)
-    k = arr.k
-    n = args.files if args.files is not None else k
-    store = simulate.PacketStore.synthetic(n, arr.f, args.packet_size,
-                                           args.seed)
     if args.demand is not None and args.random_demands is not None:
         print("simulate: --demand and --random-demands are exclusive",
               file=sys.stderr)
@@ -186,6 +179,11 @@ def _cmd_simulate(args) -> int:
         print("simulate: --random-demands must be at least 1",
               file=sys.stderr)
         return EXIT_USAGE
+    arr, _ = textio.load_with_header(args.path)
+    k = arr.k
+    n = args.files if args.files is not None else k
+    store = simulate.PacketStore.synthetic(n, arr.f, args.packet_size,
+                                           args.seed)
     if args.random_demands is not None:
         rng = np.random.default_rng(args.seed)
         demands = [list(map(int, rng.integers(1, n + 1, size=k)))
@@ -211,7 +209,7 @@ def _cmd_simulate(args) -> int:
         for problem in report.problems:
             lines.append(f"log problem: {problem}")
         lines.append(f"decode={'ok' if report.success else 'FAIL'}")
-    _Out(args.out).write("\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_SEMANTIC
 
 
@@ -261,7 +259,7 @@ def _cmd_compare(args) -> int:
         out = [f"baseline={baseline} q={q} t={t} lambda={lam:g}",
                f"{'z':>4} {'R_ratio<':>22} {'F_ratio':>22}"]
         out += [f"{z:>4} {_fmt15(r):>22} {_fmt15(f):>22}" for z, r, f in rows]
-    _Out(args.out).write("\n".join(out) + "\n")
+    _write(args.out, "\n".join(out) + "\n")
     return EXIT_OK
 
 
@@ -287,12 +285,12 @@ def _cmd_enumerate(args) -> int:
                f"{'R':>8} {'lnF':>10}"]
         out += [f"{r.family.value:>12} {r.q:>4} {r.z:>4} {r.m:>4} {r.t:>2} "
                 f"{float(r.rate):>8g} {r.ln_f:>10.4f}" for r in rows]
-    _Out(args.out).write("\n".join(out) + "\n")
+    _write(args.out, "\n".join(out) + "\n")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handler = {
         "construct": _cmd_construct,
         "verify": _cmd_verify,

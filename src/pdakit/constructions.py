@@ -142,20 +142,39 @@ def theorem_params(family: Family, p: ConstructionParams) -> PdaParams:
     )
 
 
-def mn_params(k: int, t: int) -> PdaParams:
-    """Closed-form parameters of the subset family."""
+def _check_mn(k: int, t: int) -> None:
     if k < 2:
         raise ParamDomainError("K must be at least 2")
     if not 1 <= t <= k - 1:
         raise ParamDomainError("t must satisfy 1 <= t <= K-1")
+
+
+def mn_params(k: int, t: int) -> PdaParams:
+    """Closed-form parameters of the subset family."""
+    _check_mn(k, t)
     return PdaParams(k=k, f=comb(k, t), z=comb(k - 1, t - 1), s=comb(k, t + 1))
 
 
-def _check_cap(params: PdaParams) -> None:
-    cells = params.f * params.k
+# Python refuses by default to write an int of more than 4300 digits as
+# text, so cell counts from here up are written as a bound.  Exact closed
+# forms that large can take seconds, so construct refuses an array once a
+# lower bound on its cells reaches this; it is over the cap either way.
+_UNPRINTABLE = 10**4300
+
+
+def _count_text(n: int) -> str:
+    """n in decimal, or a power of ten below it when n is too long to
+    print."""
+    if n < _UNPRINTABLE:
+        return str(n)
+    # n >= 2^(bits - 1) > 10^d, as 0.30102 < log10(2)
+    return f"more than 10^{(n.bit_length() - 1) * 30102 // 100000}"
+
+
+def _check_cap(cells: int) -> None:
     if cells > CELL_CAP:
-        raise SizeCapError(
-            f"array would hold {cells} cells, above the cap of {CELL_CAP}")
+        raise SizeCapError(f"array would hold {_count_text(cells)} cells, "
+                           f"above the cap of {CELL_CAP}")
 
 
 def _digits(idx: np.ndarray, radix: int, count: int,
@@ -185,9 +204,15 @@ def construct(family: Family, p: ConstructionParams) -> PdaArray:
     family = Family(family)
     if family is Family.MN:
         raise ParamDomainError("mn takes (K, t); call construct_mn")
+    _check_domain(family, p)
+    # F >= q^m >= q^e, with e cut where q^e is past the bound
+    lower = p.q**min(p.m, _UNPRINTABLE.bit_length()
+                     // (p.q.bit_length() - 1) + 1)
+    if lower >= _UNPRINTABLE:
+        _check_cap(lower)
     ext, special = _switches(family)
     params = theorem_params(family, p)
-    _check_cap(params)
+    _check_cap(params.f * params.k)
     q, z, m, t, w = p.q, p.z, p.m, p.t, p.w
     k0 = params.k - (q if special else 0)
     # every value stays within S <= F*K <= CELL_CAP, so int32 holds it
@@ -246,8 +271,18 @@ def construct_mn(k: int, t: int) -> PdaArray:
     """Subset family: rows are the t-subsets of [1..K] in lexicographic
     order; cell (T, u) is a star when u is in T, else the rank of T + {u}
     among the (t+1)-subsets."""
+    _check_mn(k, t)
+    # K C(K, t), one factor of the binomial at a time; each factor is at
+    # least 2, so this stops within about 14,300 steps
+    lower, small = k, min(t, k - t)
+    for i in range(1, small + 1):
+        if lower >= _UNPRINTABLE:
+            break
+        lower = lower * (k - small + i) // i
+    if lower >= _UNPRINTABLE:
+        _check_cap(lower)
     params = mn_params(k, t)
-    _check_cap(params)
+    _check_cap(params.f * params.k)
     # symbol s is the s-th (t+1)-subset, one row of sup
     sup = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(k), t + 1)),

@@ -86,11 +86,6 @@ class VerificationReport:
     def valid(self) -> bool:
         return not self.violations
 
-    def summary(self) -> str:
-        if self.valid:
-            return "valid"
-        return f"invalid ({len(self.violations)} violation(s))"
-
 
 class PdaArray:
     """Immutable F x K grid over {star} | {1..S}; star stored as 0."""
@@ -132,10 +127,6 @@ class PdaArray:
     @property
     def k(self) -> int:
         return self.grid.shape[1]
-
-    @property
-    def star_mask(self) -> np.ndarray:
-        return self.grid == STAR
 
     @classmethod
     def from_rows(cls, rows) -> "PdaArray":

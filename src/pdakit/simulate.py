@@ -21,15 +21,16 @@ i.e. rate S/F.
 
 The slots, their terms and the cache audit depend on the array alone, so
 they form a delivery plan that is built on the first deliver or decode and
-kept on the array: further demands only gather packets and XOR them.  A
-PacketStore's data is read-only, so each file's SHA-256 is computed once
-per store and remembered.
+kept on the array: further demands only gather packets, with one take on
+the flat (N*F, packet_size) store, and XOR them.  A PacketStore's data is
+read-only, so each file's SHA-256 is computed once per store and remembered.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -138,21 +139,6 @@ class DecodeReport:
     rate: Fraction
 
 
-def _check_store(arr: PdaArray, store: PacketStore) -> None:
-    if store.f != arr.f:
-        raise ValueError(
-            f"store holds {store.f} packets per file, array has F={arr.f} rows")
-
-
-def _check_demand(arr: PdaArray, store: PacketStore, demand) -> np.ndarray:
-    d = np.asarray(list(demand), dtype=np.int64)
-    if d.shape != (arr.k,):
-        raise ValueError(f"demand must list {arr.k} file indices")
-    if d.size and (d.min() < 1 or d.max() > store.n_files):
-        raise ValueError(f"demand entries must lie in [1, {store.n_files}]")
-    return d
-
-
 class _DeliveryPlan:
     """What deliver and decode_and_verify need of an array, whatever the
     demand.
@@ -191,21 +177,39 @@ def _plan(arr: PdaArray) -> _DeliveryPlan:
         return plan
 
 
-def _slots(plan: _DeliveryPlan, store: PacketStore, d: np.ndarray):
-    """Each cell's demanded packet and each slot's XOR of those packets."""
-    gathered = store.data[d[plan.cols] - 1, plan.rows]
+def _prepare(arr: PdaArray, store: PacketStore, demand):
+    """The preamble of deliver and decode_and_verify.
+
+    Checks the store and the demand, whose K entries must be integers in
+    [1, N] (ValueError otherwise), and returns the demand as int64, the
+    array's plan and the (S, packet_size) XOR of each slot's packets.
+    """
+    if store.f != arr.f:
+        raise ValueError(
+            f"store holds {store.f} packets per file, array has F={arr.f} rows")
+    try:
+        d = [operator.index(i) for i in demand]
+    except TypeError:
+        raise ValueError("demand entries must be integers") from None
+    if len(d) != arr.k:
+        raise ValueError(f"demand must list {arr.k} file indices")
+    # range-checked as Python ints, so the int64 cast cannot overflow
+    if d and not 1 <= min(d) <= max(d) <= store.n_files:
+        raise ValueError(f"demand entries must lie in [1, {store.n_files}]")
+    d = np.array(d, dtype=np.int64)
+    plan = _plan(arr)
+    # cell (j, k) reads row (d_k - 1) F + j of the (N F, packet_size) view
+    flat = store.data.reshape(-1, store.packet_size)
+    gathered = flat.take((d[plan.cols] - 1) * arr.f + plan.rows, axis=0)
     # XOR whole machine words; the widest that divides a packet
     words = gathered.view(f"u{math.gcd(store.packet_size, 8)}")
     totals = np.bitwise_xor.reduceat(words, plan.starts[:-1], axis=0)
-    return gathered, totals.view(np.uint8)
+    return d, plan, totals.view(np.uint8)
 
 
 def deliver(arr: PdaArray, store: PacketStore, demand) -> TransmissionLog:
     """Broadcast one XOR payload per symbol, ascending symbol order."""
-    _check_store(arr, store)
-    d = _check_demand(arr, store, demand)
-    plan = _plan(arr)
-    _, totals = _slots(plan, store, d)
+    _, plan, totals = _prepare(arr, store, demand)
     return TransmissionLog(tuple(
         Transmission(s, terms, payload.tobytes())
         for s, terms, payload in zip(plan.symbols, plan.slot_terms, totals)
@@ -225,13 +229,11 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     rest_s = p_s XOR (all terms of s).  So every packet of slot s decodes
     exactly iff rest_s is zero, and a user fails iff one of its cells lies
     in a slot with non-zero rest.  Only a failing user's file is put
-    together, for its hash; the store hashes each demanded file once.
+    together, for its hash: the stored file with each of the user's rows
+    XORed by its slot's rest_s.  The store hashes each demanded file once.
     """
-    _check_store(arr, store)
-    d = _check_demand(arr, store, demand)
-    plan = _plan(arr)
+    d, plan, totals = _prepare(arr, store, demand)
     rows, cols = plan.rows, plan.cols
-    gathered, totals = _slots(plan, store, d)
 
     user_problems: dict[int, list[str]] = {u: [] for u in range(arr.k)}
     global_problems: list[str] = []
@@ -288,7 +290,7 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
         if decodable and not problems and not ok:
             mine = cols == u
             got = store.data[i - 1].copy()
-            got[rows[mine]] = gathered[mine] ^ rest[plan.slot_of[mine]]
+            got[rows[mine]] ^= rest[plan.slot_of[mine]]
             decoded_hash = hashlib.sha256(got.tobytes()).hexdigest()
             problems = (f"decoded file differs from file {i}",)
         users.append(UserDecodeResult(u + 1, i, ok, expected, decoded_hash,

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constructions import CELL_CAP, SizeCapError
+from .constructions import CELL_CAP, SizeCapError, _count_text
 from .core import STAR, PdaArray
 
 
@@ -140,8 +140,8 @@ def parse_with_header(text: str) -> tuple[PdaArray, PdaHeader]:
     header = PdaHeader(k, f, z, s)
     if f * k > CELL_CAP:
         raise SizeCapError(
-            f"header declares {f * k} cells (F={f}, K={k}), above the cap "
-            f"of {CELL_CAP}")
+            f"header declares {_count_text(f * k)} cells (F={f}, K={k}), "
+            f"above the cap of {CELL_CAP}")
 
     body = _content(rest + text[offset:].splitlines(), lineno + 1)
     if len(body) != f:
@@ -268,8 +268,7 @@ def _symbol_table(symbols: np.ndarray) -> np.ndarray:
 
 
 def load(path) -> PdaArray:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse(fh.read())
+    return load_with_header(path)[0]
 
 
 def load_with_header(path) -> tuple[PdaArray, PdaHeader]:

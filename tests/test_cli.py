@@ -1,11 +1,12 @@
 """Command-line behavior: outputs, presets, exit codes."""
 
 import hashlib
+import time
 
 import pytest
 
 from helpers import FIXTURES, fixture_text
-from pdakit import _kernels
+from pdakit import _kernels, simulate
 from pdakit.cli import main
 
 
@@ -49,6 +50,19 @@ class TestConstruct:
                            "--q", "3", "--z", "2", "--m", "14")
         assert code == 3
         assert "cap" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "mn", "--k", "600000", "--t", "300000"],
+        ["--family", "general", "--q", "2", "--z", "1", "--m", "200000",
+         "--t", "100000"],
+    ], ids=["mn", "general"])
+    def test_count_too_long_to_print_exit_3(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert err == ("too large: array would hold more than 10^4300 cells, "
+                       "above the cap of 10000000\n")
 
     def test_output_file_and_determinism(self, capsys, tmp_path):
         target = tmp_path / "out.pda"
@@ -134,6 +148,16 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert "cap of 10000000" in err
 
+    def test_header_count_too_long_to_print_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "huge.pda"
+        path.write_text(f"{10**3000} {10**3000} 0 1\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(path))
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert err.startswith("too large: header declares more than 10^5999 "
+                              "cells")
+
     def test_empty_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "empty.pda"
         bad.write_text("")
@@ -165,6 +189,10 @@ class TestVerify:
         assert exit_info.value.code == 2
 
 
+def _no_store(*args, **kwargs):
+    raise AssertionError("the packet store was built")
+
+
 class TestSimulate:
     def test_known_demand_trace(self, capsys):
         code, out, _ = run(capsys, "simulate", str(FIXTURES / "mn_k4_t2.pda"),
@@ -193,13 +221,32 @@ class TestSimulate:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_random_demands_not_positive_exit_2(self, capsys, count):
+    def test_random_demands_not_positive_exit_2(self, capsys, monkeypatch,
+                                                count):
+        # refused before the packet store is allocated
+        monkeypatch.setattr(simulate.PacketStore, "synthetic", _no_store)
         code, out, err = run(capsys, "simulate",
                              str(FIXTURES / "mn_k4_t2.pda"),
                              "--random-demands", count)
         assert code == 2
         assert out == ""
         assert "--random-demands must be at least 1" in err
+
+    def test_demand_and_random_demands_exclusive_exit_2(self, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(simulate.PacketStore, "synthetic", _no_store)
+        code, out, err = run(capsys, "simulate",
+                             str(FIXTURES / "mn_k4_t2.pda"),
+                             "--demand", "1,2,3,4", "--random-demands", "2")
+        assert (code, out) == (2, "")
+        assert "--demand and --random-demands are exclusive" in err
+
+    def test_demand_beyond_int64_exit_2(self, capsys):
+        code, out, err = run(capsys, "simulate",
+                             str(FIXTURES / "mn_k4_t2.pda"),
+                             "--demand", "99999999999999999999,1,1,1")
+        assert (code, out) == (2, "")
+        assert err == "error: demand entries must lie in [1, 4]\n"
 
     def test_demand_out_of_range_exit_2(self, capsys):
         code, _, err = run(capsys, "simulate", str(FIXTURES / "mn_k4_t2.pda"),

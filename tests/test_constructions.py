@@ -3,6 +3,7 @@ closed-form parameter evaluator."""
 
 import hashlib
 import math
+import time
 from fractions import Fraction
 from math import comb
 
@@ -14,6 +15,7 @@ from pdakit import (ConstructionParams, Family, ParamDomainError, PdaParams,
                     construct_ext_special, construct_general, construct_mn,
                     construct_special, equivalent, mn_params, params_of,
                     parse, standard_sweep, theorem_params, verify_pda)
+from pdakit.constructions import _count_text
 
 P_3221 = ConstructionParams(3, 2, 2, 1)
 
@@ -206,6 +208,41 @@ class TestDomains:
         # F*K = 2*3^12 * 36, above the fixed 10^7-cell cap
         with pytest.raises(SizeCapError, match="cap"):
             construct_general(3, 2, 12, 1)
+
+    @pytest.mark.parametrize("build, count", [
+        # exact counts that print are written in full
+        (lambda: construct_mn(100, 50), str(comb(100, 50) * 100)),
+        (lambda: construct_general(3, 1, 40, 20),
+         str(comb(40, 20) * 3**60)),
+        # counts over 4300 digits are refused from a lower bound
+        (lambda: construct_mn(600_000, 300_000), "more than 10^4300"),
+        (lambda: construct_mn(30_000, 15_000), "more than 10^4300"),
+        (lambda: construct_general(2, 1, 200_000, 100_000),
+         "more than 10^4300"),
+        (lambda: construct_ext_special(10**50, 1, 10**6), "more than 10^4349"),
+    ], ids=["mn(100,50)", "general(3,1,40,20)", "mn(600000,300000)",
+            "mn(30000,15000)", "general(2,1,200000,100000)",
+            "ext-special(10^50,1,10^6)"])
+    def test_cap_message_count(self, build, count):
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError) as info:
+            build()
+        assert time.perf_counter() - start < 2
+        assert str(info.value) == (f"array would hold {count} cells, "
+                                   "above the cap of 10000000")
+
+    # 2^26602 is just above 10^8007, so a d from a rounded-up log10(2)
+    # would overshoot it
+    @pytest.mark.parametrize("n", [10**4300, 10**4300 + 1, 2**20_000,
+                                   2**26_602, 10**6000 - 1, 10**6000],
+                             ids=["10^4300", "10^4300+1", "2^20000",
+                                  "2^26602", "10^6000-1", "10^6000"])
+    def test_unprintable_count_is_a_true_bound(self, n):
+        text = _count_text(n)
+        assert text.startswith("more than 10^")
+        d = int(text.removeprefix("more than 10^"))
+        assert 10**d < n and 10**(d + 2) > n
+        assert _count_text(10**4300 - 1) == "9" * 4300
 
 
 class TestSweepAndSpecializations:

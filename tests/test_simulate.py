@@ -121,6 +121,29 @@ class TestDeliver:
         with pytest.raises(ValueError, match="4 file indices"):
             deliver(MN_4_2, store, [1, 2, 3])
 
+    @pytest.mark.parametrize("demand", [
+        [1.9, 2, 3, 4],
+        ["1", "2", "3", "4"],
+        [np.float64(1), 2, 3, 4],
+    ], ids=["float", "str", "numpy-float"])
+    def test_demand_entries_must_be_integers(self, demand):
+        store = PacketStore.synthetic(6, 6)
+        with pytest.raises(ValueError, match="must be integers"):
+            deliver(MN_4_2, store, demand)
+        with pytest.raises(ValueError, match="must be integers"):
+            decode_and_verify(MN_4_2, store, demand, None)
+
+    def test_demand_beyond_int64_out_of_range(self):
+        store = PacketStore.synthetic(6, 6)
+        for demand in ([10**20, 1, 1, 1], [1, 1, 1, -2**64 + 1]):
+            with pytest.raises(ValueError, match=r"\[1, 6\]"):
+                deliver(MN_4_2, store, demand)
+
+    def test_numpy_integer_demand_accepted(self):
+        store = PacketStore.synthetic(6, 6)
+        assert deliver(MN_4_2, store, np.array([2, 6, 1, 2])) == \
+            deliver(MN_4_2, store, [2, 6, 1, 2])
+
     def test_dimension_mismatch(self):
         store = PacketStore.synthetic(6, 5)
         for call in (lambda: deliver(MN_4_2, store, [1, 2, 3, 4]),

@@ -125,6 +125,13 @@ class TestParse:
         with pytest.raises(SizeCapError, match="cap"):
             parse(header + "\n* 1\n")
 
+    def test_header_count_too_long_to_print(self):
+        # F*K = 10^6000 has more digits than Python writes out as text
+        big = 10**3000
+        with pytest.raises(SizeCapError, match=r"declares more than 10\^5999 "
+                                               r"cells"):
+            parse(f"{big} {big} 0 1\n* 1\n")
+
     def test_header_at_cell_cap_reads_body(self):
         with pytest.raises(PdaFormatError, match="expected 1 data rows"):
             parse("10000000 1 0 1\n")
