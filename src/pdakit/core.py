@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -90,8 +91,8 @@ class VerificationReport:
 class PdaArray:
     """Immutable F x K grid over {star} | {1..S}; star stored as 0."""
 
-    # _plan holds simulate's delivery plan, built on first use
-    __slots__ = ("grid", "_plan")
+    # _cells holds the array's _CellTable, built by _cell_table on first use
+    __slots__ = ("grid", "_cells")
 
     def __init__(self, grid):
         g = np.asarray(grid)
@@ -180,28 +181,58 @@ def _by_symbol(vals: np.ndarray):
     return order, key, np.flatnonzero(heads)
 
 
-def _nonzero_sorted(grid: np.ndarray):
-    """Non-star cells sorted by (symbol, column, row), plus group starts."""
-    # nonzero of the transpose comes in (column, row) order
-    cols, rows = np.nonzero(grid.T)
-    order, vals, heads = _by_symbol(grid[rows, cols])
-    return rows[order], cols[order], vals[heads], np.append(heads, vals.size)
+class _CellTable:
+    """The non-star cells of a grid, which depend on nothing else.
 
-
-def _c3_faults(grid: np.ndarray, rows, cols, starts):
-    """Yield (symbol, (j1, k1), (j2, k2), uncached) per pair breaking C3.
-
-    ``rows``, ``cols`` and ``starts`` come from _nonzero_sorted; pairs come
-    in its order: by symbol, then by the (column, row) of the first cell,
-    then of the second.  ``uncached`` lists the cross cells (j1, k2) and
-    (j2, k1) that are not stars, in that order.  A star at (j1, k2) is user
-    k2 caching the packet of the term at (j1, k1), so one list serves the
-    verifier and the decoder's cache audit.  All indices are 0-based.
+    ``rows`` and ``cols`` hold the cells sorted by (symbol, column, row),
+    ``symbols`` the symbols present, ascending, and ``starts`` bounds each
+    symbol's run of cells; ``slot_of`` maps a cell to the index of its
+    symbol, and ``faults`` lists the pairs breaking C3.  The arrays are
+    read-only; the last two are built on first use.
     """
-    for r1, c1, r2, c2 in _kernels.c3_pair_scan(grid, rows, cols, starts):
-        uncached = tuple(cell for cell in ((r1, c2), (r2, c1))
-                         if grid[cell] != STAR)
-        yield int(grid[r1, c1]), (r1, c1), (r2, c2), uncached
+
+    def __init__(self, grid: np.ndarray):
+        self.grid = grid
+        # nonzero of the transpose comes in (column, row) order
+        cols, rows = np.nonzero(grid.T)
+        order, vals, heads = _by_symbol(grid[rows, cols])
+        cells = (rows[order], cols[order], vals[heads],
+                 np.append(heads, vals.size))
+        for a in cells:
+            a.flags.writeable = False
+        self.rows, self.cols, self.symbols, self.starts = cells
+
+    @cached_property
+    def slot_of(self) -> np.ndarray:
+        slot_of = np.repeat(np.arange(self.symbols.size), np.diff(self.starts))
+        slot_of.flags.writeable = False
+        return slot_of
+
+    @cached_property
+    def faults(self) -> tuple:
+        """(symbol, (j1, k1), (j2, k2), uncached) per pair breaking C3.
+
+        Pairs come in the table's order: by symbol, then by the (column,
+        row) of the first cell, then of the second.  ``uncached`` lists the
+        cross cells (j1, k2) and (j2, k1) that are not stars, in that order.
+        A star at (j1, k2) is user k2 caching the packet of the term at
+        (j1, k1), so one list serves the verifier and the decoder's cache
+        audit.  All indices are 0-based.
+        """
+        grid = self.grid
+        return tuple(
+            (int(grid[r1, c1]), (r1, c1), (r2, c2),
+             tuple(cell for cell in ((r1, c2), (r2, c1))
+                   if grid[cell] != STAR))
+            for r1, c1, r2, c2 in _kernels.c3_pair_scan(
+                grid, self.rows, self.cols, self.starts))
+
+
+def _cell_table(arr: PdaArray) -> _CellTable:
+    """The array's cell table, built on first use and kept on the array."""
+    if not hasattr(arr, "_cells"):
+        object.__setattr__(arr, "_cells", _CellTable(arr.grid))
+    return arr._cells
 
 
 def _missing_symbols(present: np.ndarray, s_ref: int):
@@ -241,7 +272,8 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
         ))
 
     # C2: symbols present are exactly 1..S
-    rows, cols, uniq, starts = _nonzero_sorted(grid)
+    table = _cell_table(arr)
+    uniq, starts = table.symbols, table.starts
     if uniq.size == 0:
         violations.append(Violation("C2", (), "array contains no integer symbols"))
     else:
@@ -257,7 +289,7 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
                 "C2", (), f"{s_ref - n_in - C2_LISTED} more symbols never occur"))
         # symbols above S own the tail of the sorted cells; list them row-major
         lo = int(starts[n_in])
-        r, c = rows[lo:], cols[lo:]
+        r, c = table.rows[lo:], table.cols[lo:]
         order = np.lexsort((c, r, grid[r, c]))
         r, c = (r[order] + 1).tolist(), (c[order] + 1).tolist()
         ends = (starts[n_in:] - lo).tolist()
@@ -267,7 +299,7 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
 
     # C3: same-symbol pair scan
     c3 = []
-    for s, (r1, c1), (r2, c2), uncached in _c3_faults(grid, rows, cols, starts):
+    for s, (r1, c1), (r2, c2), uncached in table.faults:
         loc = ((r1 + 1, c1 + 1), (r2 + 1, c2 + 1))
         if r1 == r2 or c1 == c2:
             axis = "row" if r1 == r2 else "column"

@@ -19,11 +19,15 @@ decides it.  The star rows are the user's own copies, so a file is exact iff
 all its decoded packets are, and the measured traffic is exactly S packets,
 i.e. rate S/F.
 
-The slots, their terms and the cache audit depend on the array alone, so
-they form a delivery plan that is built on the first deliver or decode and
-kept on the array: further demands only gather packets, with one take on
-the flat (N*F, packet_size) store, and XOR them.  A PacketStore's data is
-read-only, so each file's SHA-256 is computed once per store and remembered.
+The slots, their terms and the cache audit depend on the array alone: they
+are the array's cell table (core), built once and kept on the array, so a
+demand only gathers packets, with one take on the flat (N*F, packet_size)
+store, and XORs them.  A TransmissionLog is columns over that table: the
+slot symbols and term bounds and the terms themselves are the table's own
+read-only arrays, and the payloads are one flat byte array.  Its
+``transmissions`` view of Transmission objects is built only when read, for
+traces and for tests that alter a log.  A PacketStore's data is read-only,
+so each file's SHA-256 is computed once per store and remembered.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import PdaArray, _c3_faults, _nonzero_sorted
+from .core import PdaArray, _cell_table
 
 DEFAULT_PACKET_SIZE = 64
 
@@ -107,17 +111,67 @@ class Transmission:
         return f"s={self.symbol} terms={terms} payload={self.payload.hex()}"
 
 
-@dataclass(frozen=True)
+# the arrays of a TransmissionLog, in the order _of_columns takes them
+_COLUMNS = ("symbols", "starts", "cols", "rows", "payload", "ends")
+
+
 class TransmissionLog:
-    transmissions: tuple[Transmission, ...]
-    packet_size: int
+    """The slots of one delivery, in broadcast order, as read-only columns.
+
+    Slot i sends ``symbols[i]``; its terms are the 0-based (user, row) pairs
+    (``cols[a]``, ``rows[a]``) for ``starts[i] <= a < starts[i + 1]``, and
+    its payload is ``payload[ends[i]:ends[i + 1]]``.  A delivered log shares
+    its terms with the array's cell table.  ``transmissions`` is the same
+    log as Transmission objects, built on first use; the constructor takes
+    such objects and turns them into columns once.
+    """
+
+    def __init__(self, transmissions, packet_size: int):
+        sent = self.__dict__["transmissions"] = tuple(transmissions)
+        terms = np.array([kj for t in sent for kj in t.terms],
+                         dtype=np.int64).reshape(-1, 2) - 1
+        sizes = np.array([(len(t.terms), len(t.payload)) for t in sent],
+                         dtype=np.int64).reshape(-1, 2)
+        starts, ends = np.vstack(([0, 0], sizes.cumsum(axis=0))).T
+        self._set(packet_size, np.array([t.symbol for t in sent], np.int64),
+                  starts, terms[:, 0], terms[:, 1],
+                  np.frombuffer(b"".join(t.payload for t in sent), np.uint8),
+                  ends)
+
+    @classmethod
+    def _of_columns(cls, packet_size: int, *columns) -> "TransmissionLog":
+        log = cls.__new__(cls)
+        log._set(packet_size, *columns)
+        return log
+
+    def _set(self, packet_size, *columns):
+        for a in columns:
+            a.flags.writeable = False
+        self.__dict__.update(zip(_COLUMNS, columns), packet_size=packet_size)
+
+    @cached_property
+    def transmissions(self) -> tuple[Transmission, ...]:
+        terms = list(zip((self.cols + 1).tolist(), (self.rows + 1).tolist()))
+        payload = self.payload.tobytes()
+        s, e = self.starts.tolist(), self.ends.tolist()
+        return tuple(
+            Transmission(symbol, tuple(terms[a:b]), payload[c:d])
+            for symbol, a, b, c, d in zip(self.symbols.tolist(), s, s[1:],
+                                          e, e[1:]))
 
     @property
     def bytes_sent(self) -> int:
-        return sum(len(t.payload) for t in self.transmissions)
+        return int(self.ends[-1])
 
     def trace_lines(self) -> list[str]:
         return [t.trace_line() for t in self.transmissions]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TransmissionLog):
+            return NotImplemented
+        return self.packet_size == other.packet_size and all(
+            np.array_equal(getattr(self, n), getattr(other, n))
+            for n in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -139,50 +193,12 @@ class DecodeReport:
     rate: Fraction
 
 
-class _DeliveryPlan:
-    """What deliver and decode_and_verify need of an array, whatever the
-    demand.
-
-    ``rows``, ``cols`` and ``starts`` hold the non-star cells sorted by
-    (symbol, column, row) and bound each slot's cells; ``slot_of`` maps a
-    cell to its slot, ``symbols`` lists the slot symbols and ``slot_terms``
-    each slot's 1-based (user, row) terms.  ``faults`` holds the raw C3
-    pairs of _c3_faults, computed on the first decode; the audit formats
-    them per call, since its messages name the demanded files.
-    """
-
-    def __init__(self, grid: np.ndarray):
-        self.grid = grid
-        self.rows, self.cols, symbols, self.starts = _nonzero_sorted(grid)
-        self.symbols = symbols.tolist()
-        self.slot_of = np.repeat(np.arange(symbols.size),
-                                 np.diff(self.starts))
-        terms = list(zip((self.cols + 1).tolist(), (self.rows + 1).tolist()))
-        bounds = self.starts.tolist()
-        self.slot_terms = [tuple(terms[lo:hi])
-                           for lo, hi in zip(bounds, bounds[1:])]
-
-    @cached_property
-    def faults(self) -> tuple:
-        return tuple(_c3_faults(self.grid, self.rows, self.cols, self.starts))
-
-
-def _plan(arr: PdaArray) -> _DeliveryPlan:
-    """The array's delivery plan, built on first use and kept on the array."""
-    try:
-        return arr._plan
-    except AttributeError:
-        plan = _DeliveryPlan(arr.grid)
-        object.__setattr__(arr, "_plan", plan)
-        return plan
-
-
 def _prepare(arr: PdaArray, store: PacketStore, demand):
     """The preamble of deliver and decode_and_verify.
 
     Checks the store and the demand, whose K entries must be integers in
     [1, N] (ValueError otherwise), and returns the demand as int64, the
-    array's plan and the (S, packet_size) XOR of each slot's packets.
+    array's cell table and the (S, packet_size) XOR of each slot's packets.
     """
     if store.f != arr.f:
         raise ValueError(
@@ -197,23 +213,23 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
     if d and not 1 <= min(d) <= max(d) <= store.n_files:
         raise ValueError(f"demand entries must lie in [1, {store.n_files}]")
     d = np.array(d, dtype=np.int64)
-    plan = _plan(arr)
+    table = _cell_table(arr)
     # cell (j, k) reads row (d_k - 1) F + j of the (N F, packet_size) view
     flat = store.data.reshape(-1, store.packet_size)
-    gathered = flat.take((d[plan.cols] - 1) * arr.f + plan.rows, axis=0)
+    gathered = flat.take((d[table.cols] - 1) * arr.f + table.rows, axis=0)
     # XOR whole machine words; the widest that divides a packet
     words = gathered.view(f"u{math.gcd(store.packet_size, 8)}")
-    totals = np.bitwise_xor.reduceat(words, plan.starts[:-1], axis=0)
-    return d, plan, totals.view(np.uint8)
+    totals = np.bitwise_xor.reduceat(words, table.starts[:-1], axis=0)
+    return d, table, totals.view(np.uint8)
 
 
 def deliver(arr: PdaArray, store: PacketStore, demand) -> TransmissionLog:
     """Broadcast one XOR payload per symbol, ascending symbol order."""
-    _, plan, totals = _prepare(arr, store, demand)
-    return TransmissionLog(tuple(
-        Transmission(s, terms, payload.tobytes())
-        for s, terms, payload in zip(plan.symbols, plan.slot_terms, totals)
-    ), store.packet_size)
+    _, table, totals = _prepare(arr, store, demand)
+    size = store.packet_size
+    return TransmissionLog._of_columns(
+        size, table.symbols, table.starts, table.cols, table.rows,
+        totals.reshape(-1), np.arange(table.symbols.size + 1) * size)
 
 
 def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
@@ -232,28 +248,33 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     together, for its hash: the stored file with each of the user's rows
     XORed by its slot's rest_s.  The store hashes each demanded file once.
     """
-    d, plan, totals = _prepare(arr, store, demand)
-    rows, cols = plan.rows, plan.cols
+    d, table, totals = _prepare(arr, store, demand)
+    rows, cols, symbols = table.rows, table.cols, table.symbols
 
     user_problems: dict[int, list[str]] = {u: [] for u in range(arr.k)}
     global_problems: list[str] = []
 
-    # structural consistency of the log with this array, slot by slot
-    sent = log.transmissions
+    # structural consistency of the log with this array
     if log.packet_size != store.packet_size:
         global_problems.append(
             f"log packet size {log.packet_size} != store {store.packet_size}")
-    if [t.symbol for t in sent] != plan.symbols:
+    if not np.array_equal(log.symbols, symbols):
         global_problems.append("log symbols do not match the array")
     else:
-        for t, expect in zip(sent, plan.slot_terms):
-            if t.terms != expect or len(t.payload) != store.packet_size:
-                global_problems.append(f"log entry for symbol {t.symbol} "
-                                       "does not match the array")
-                break
+        # past the first slot whose term count differs the terms no longer
+        # line up, but that slot is flagged first anyway
+        n = min(log.cols.size, cols.size)
+        moved = (log.cols[:n] != cols[:n]) | (log.rows[:n] != rows[:n])
+        bad = ((np.diff(log.starts) != np.diff(table.starts))
+               | (np.diff(log.ends) != store.packet_size))
+        bad[table.slot_of[:n][moved]] = True
+        if bad.any():
+            global_problems.append(f"log entry for symbol "
+                                   f"{symbols[bad.argmax()]} "
+                                   "does not match the array")
 
     # cache-membership audit: every cancellation term must be held
-    for s, (r1, c1), (r2, c2), uncached in plan.faults:
+    for s, (r1, c1), (r2, c2), uncached in table.faults:
         if c1 == c2:
             user_problems[c1].append(
                 f"symbol {s} occurs twice in column {c1 + 1} "
@@ -273,11 +294,8 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     decodable = not global_problems
     wrong: set[int] = set()
     if decodable:
-        payloads = np.frombuffer(
-            b"".join(t.payload for t in sent), dtype=np.uint8,
-        ).reshape(len(sent), store.packet_size)
-        rest = payloads ^ totals
-        wrong = set(cols[rest.any(axis=1)[plan.slot_of]].tolist())
+        rest = log.payload.reshape(totals.shape) ^ totals
+        wrong = set(cols[rest.any(axis=1)[table.slot_of]].tolist())
 
     hashes = {i: store.file_hash(i) for i in set(d.tolist())}
     users = []
@@ -290,7 +308,7 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
         if decodable and not problems and not ok:
             mine = cols == u
             got = store.data[i - 1].copy()
-            got[rows[mine]] ^= rest[plan.slot_of[mine]]
+            got[rows[mine]] ^= rest[table.slot_of[mine]]
             decoded_hash = hashlib.sha256(got.tobytes()).hexdigest()
             problems = (f"decoded file differs from file {i}",)
         users.append(UserDecodeResult(u + 1, i, ok, expected, decoded_hash,
@@ -301,7 +319,7 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
         users=tuple(users),
         problems=tuple(global_problems),
         bytes_sent=log.bytes_sent,
-        rate=Fraction(len(sent), arr.f),
+        rate=Fraction(log.symbols.size, arr.f),
     )
 
 

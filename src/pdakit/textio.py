@@ -71,6 +71,12 @@ class PdaHeader(NamedTuple):
     s: int
 
 
+def _quoted(tok: str) -> str:
+    """``tok`` as a parse error quotes it: at most 32 characters."""
+    cut = f"... ({len(tok)} characters)" if len(tok) > 32 else ""
+    return repr(tok[:32]) + cut
+
+
 def _int_token(tok: str, lineno: int, col: int, what: str, minimum: int,
                maximum: int | None = None) -> int:
     digits = tok[1:] if tok.startswith("-") else tok
@@ -81,17 +87,18 @@ def _int_token(tok: str, lineno: int, col: int, what: str, minimum: int,
         # and it refuses more digits than sys.get_int_max_str_digits()
         value = int(tok, 10)
     except ValueError:
-        raise PdaFormatError(f"{what} {tok!r} is not an integer", lineno, col)
+        raise PdaFormatError(f"{what} {_quoted(tok)} is not an integer",
+                             lineno, col)
     if value < minimum:
         raise PdaFormatError(
-            f"{what} {tok!r} must be at least {minimum}", lineno, col)
+            f"{what} {_quoted(tok)} must be at least {minimum}", lineno, col)
     if tok.startswith("-"):
         # "-0": numbers are bare digits
-        raise PdaFormatError(f"{what} {tok!r} must not carry a sign",
+        raise PdaFormatError(f"{what} {_quoted(tok)} must not carry a sign",
                              lineno, col)
     if maximum is not None and value > maximum:
         raise PdaFormatError(
-            f"{what} {tok!r} must be at most {maximum}", lineno, col)
+            f"{what} {_quoted(tok)} must be at most {maximum}", lineno, col)
     return value
 
 

@@ -148,6 +148,13 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert "cap of 10000000" in err
 
+    def test_huge_header_token_quoted_short_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.pda"
+        path.write_text("1" * 100_000 + " 1 0 1\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert len(err) < 200 and "(100000 characters)" in err
+
     def test_header_count_too_long_to_print_exit_3(self, capsys, tmp_path):
         path = tmp_path / "huge.pda"
         path.write_text(f"{10**3000} {10**3000} 0 1\n")
@@ -254,9 +261,10 @@ class TestSimulate:
         assert code == 2
 
     def test_demand_wrong_length_exit_2(self, capsys):
-        code, _, _ = run(capsys, "simulate", str(FIXTURES / "mn_k4_t2.pda"),
-                         "--demand", "1,2")
-        assert code == 2
+        code, out, err = run(capsys, "simulate",
+                             str(FIXTURES / "mn_k4_t2.pda"), "--demand", "1,2")
+        assert (code, out) == (2, "")
+        assert err == "error: demand must list 4 file indices\n"
 
     def test_corrupt_array_exit_1(self, capsys, tmp_path):
         text = fixture_text("mn_k4_t2.pda").replace("1 * * 4", "2 * * 4", 1)

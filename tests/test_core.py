@@ -10,7 +10,7 @@ from helpers import fixture_text, naive_check
 from pdakit import (PacketStore, PdaArray, PdaError, PdaParams, _kernels,
                     canonicalize, construct_ext_general, construct_mn,
                     deliver, equivalent, params_of, parse, verify_pda)
-from pdakit.core import _nonzero_sorted
+from pdakit.core import _CellTable
 
 MN_4_2 = parse(fixture_text("mn_k4_t2.pda"))
 GEN_18x6 = parse(fixture_text("general_q3_z2_m2_t1.pda"))
@@ -86,7 +86,8 @@ class TestPairScan:
         grid = np.zeros((1000, 1000), dtype=np.int32)
         np.fill_diagonal(grid, 1)
         grid[0, 1] = 1
-        rows, cols, _, starts = _nonzero_sorted(grid)
+        t = _CellTable(grid)
+        rows, cols, starts = t.rows, t.cols, t.starts
         monkeypatch.setattr(_kernels, "CHUNK_CELLS", 1 << 14)
         scan = lambda: _kernels.c3_pair_scan(grid, rows, cols, starts)
         scan()  # numpy's lazy imports are not the scan's memory

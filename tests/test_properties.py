@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import naive_c2, naive_check, reference_pair_scan
 from pdakit import (STAR, ConstructionParams, PacketStore, PdaArray,
-                    _kernels, canonicalize, construct, emit, equivalent,
+                    Transmission, TransmissionLog, _kernels, canonicalize,
+                    construct, decode_and_verify, deliver, emit, equivalent,
                     params_of, parse, run_simulation, standard_sweep,
                     theorem_params, verify_pda)
-from pdakit.core import _nonzero_sorted
+from pdakit.core import _CellTable
 
 small_grids = st.integers(1, 5).flatmap(
     lambda f: st.integers(1, 5).flatmap(
@@ -53,7 +54,8 @@ def scan_grids(draw):
 @given(scan_grids(), st.sampled_from([1, 3, 7, 20, 64, 1 << 22]))
 def test_pair_scan_matches_reference(grid, chunk):
     # small chunks split groups into bands of block rows and columns
-    rows, cols, _, starts = _nonzero_sorted(grid)
+    t = _CellTable(grid)
+    rows, cols, starts = t.rows, t.cols, t.starts
     vals = grid[rows, cols]
     assert np.array_equal(np.lexsort((rows, cols, vals)), np.arange(vals.size))
     with mock.patch.object(_kernels, "CHUNK_CELLS", chunk):
@@ -107,6 +109,40 @@ def test_decodes_exactly_when_c3_holds(cells, seed):
     _, _, c3a, c3b = naive_check(arr.to_rows())
     report = run_simulation(arr, store, list(map(int, demand)))
     assert report.success == (c3a and c3b)
+
+
+@given(small_grids, st.lists(st.tuples(
+    st.integers(0, 20), st.sampled_from(["drop", "extra", "move", "short"])),
+    max_size=3))
+def test_log_check_matches_slot_loop(cells, edits):
+    # the array comparisons name the slot a per-slot loop stops at
+    arr = as_array(cells)
+    store = PacketStore.synthetic(2, arr.f, 3, seed=0)
+    demand = [1 + u % 2 for u in range(arr.k)]
+    honest = deliver(arr, store, demand).transmissions
+    sent = list(honest)
+    for i, kind in edits:
+        if not sent:
+            break
+        t = sent[i % len(sent)]
+        terms, payload = t.terms, t.payload
+        if kind == "drop":
+            terms = terms[:-1]
+        elif kind == "extra":
+            terms = terms + terms[:1]
+        elif kind == "move":
+            terms = ((terms[0][0], terms[0][1] % arr.f + 1),) + terms[1:]
+        else:
+            payload = payload[:-1]
+        sent[i % len(sent)] = Transmission(t.symbol, terms, payload)
+    want = []
+    for t, h in zip(sent, honest):
+        if t.terms != h.terms or len(t.payload) != store.packet_size:
+            want.append(f"log entry for symbol {t.symbol} "
+                        "does not match the array")
+            break
+    log = TransmissionLog(sent, store.packet_size)
+    assert decode_and_verify(arr, store, demand, log).problems == tuple(want)
 
 
 @given(small_grids, st.permutations(list(range(1, 5))))

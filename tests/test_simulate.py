@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from helpers import fixture_text
-from pdakit import (PacketStore, PdaArray, construct_general,
+from pdakit import (PacketStore, PdaArray, TransmissionLog, _kernels,
+                    construct_ext_general, construct_general,
                     construct_special, decode_and_verify, deliver, parse,
-                    run_simulation)
+                    run_simulation, simulate, verify_pda)
 
 MN_4_2 = parse(fixture_text("mn_k4_t2.pda"))
 TWO_USER = PdaArray.from_rows([["*", 1], [1, "*"]])
@@ -289,3 +290,47 @@ class TestDecode:
         a = deliver(MN_4_2, store, [1, 2, 3, 4])
         b = deliver(MN_4_2, store, [1, 2, 3, 4])
         assert a == b
+
+
+class TestColumns:
+    def test_no_transmission_objects_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Transmission built")
+        monkeypatch.setattr(simulate, "Transmission", refuse)
+        for arr in (PdaArray(MN_4_2.grid), construct_ext_general(3, 2, 3, 2)):
+            store = PacketStore.synthetic(arr.k, arr.f, 8, seed=1)
+            assert run_simulation(arr, store, range(1, arr.k + 1)).success
+
+    def test_pair_scan_runs_once_per_array(self, monkeypatch):
+        calls = []
+        scan = _kernels.c3_pair_scan
+
+        def counted(*args):
+            calls.append(1)
+            return scan(*args)
+        monkeypatch.setattr(_kernels, "c3_pair_scan", counted)
+        arr = PdaArray(MN_4_2.grid)
+        store = PacketStore.synthetic(6, 6)
+        assert verify_pda(arr).valid
+        log = deliver(arr, store, [1, 2, 3, 4])
+        assert decode_and_verify(arr, store, [1, 2, 3, 4], log).success
+        assert len(calls) == 1
+
+    def test_columns_read_only(self):
+        arr = PdaArray(MN_4_2.grid)
+        store = PacketStore.synthetic(6, 6, 8, seed=3)
+        log = deliver(arr, store, [1, 2, 3, 4])
+        for column in (log.cols, log.payload, log.starts):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        assert deliver(arr, store, [1, 2, 3, 4]) == log
+        assert deliver(PdaArray(MN_4_2.grid), store, [1, 2, 3, 4]) == log
+
+    def test_object_view_round_trips(self):
+        store = PacketStore.synthetic(6, 6, 4, seed=9)
+        log = deliver(MN_4_2, store, [4, 1, 1, 6])
+        again = TransmissionLog(log.transmissions, log.packet_size)
+        assert again == log
+        assert again.trace_lines() == log.trace_lines()
+        assert np.array_equal(again.cols, log.cols)
+        assert TransmissionLog(log.transmissions[1:], 4) != log
