@@ -131,7 +131,9 @@ def test_log_check_matches_slot_loop(cells, edits):
         elif kind == "extra":
             terms = terms + terms[:1]
         elif kind == "move":
-            terms = ((terms[0][0], terms[0][1] % arr.f + 1),) + terms[1:]
+            # an earlier "drop" may have left no term to move
+            terms = ((terms[0][0], terms[0][1] % arr.f + 1),) + terms[1:] \
+                if terms else terms
         else:
             payload = payload[:-1]
         sent[i % len(sent)] = Transmission(t.symbol, terms, payload)
