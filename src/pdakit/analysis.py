@@ -183,9 +183,25 @@ class SchemeRow:
     ln_f: float
 
 
+def _root(n: int, t: int) -> int:
+    """floor(n^(1/t)) for n >= 0, by integer Newton steps from above."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // t)
+    while True:
+        s = ((t - 1) * r + n // r**(t - 1)) // t
+        if s >= r:
+            return r
+        r = s
+
+
 def _solve_binomial(target: int, t: int, low: int) -> int | None:
-    """m >= low with C(m, t) == target, if any."""
-    m = low
+    """m >= low with C(m, t) == target, if any.
+
+    (m-t+1)^t <= t! C(m, t) <= m^t, so m lies within t steps above
+    floor((t! target)^(1/t)).
+    """
+    m = max(low, _root(math.factorial(t) * target, t))
     while comb(m, t) < target:
         m += 1
     return m if comb(m, t) == target else None
@@ -201,12 +217,14 @@ def enumerate_schemes(k: int, ratio: Fraction,
                       include_dominated: bool = False) -> list[SchemeRow]:
     """All family tuples hitting user count k and memory ratio exactly.
 
-    The search runs q over the divisors of k (every family's K is a
-    multiple of q), z below q, and t up to floor(log2 k) + 1, with t = 1
-    only for the special families; m is solved from the user-count
-    equation.  Rows that another row beats or ties on both rate and packet
-    count are dropped unless include_dominated is set.  Result is sorted by
-    ascending rate, then q.
+    The search runs t up to floor(log2 k) + 1, with t = 1 only for the
+    special families.  ratio = 1 - ((q-z)/q)^t fixes (q-z)/q in lowest
+    terms as a/b, the exact t-th roots of 1 - ratio's numerator and
+    denominator; q runs over the divisors of k (every family's K is a
+    multiple of q) that b divides, with z = q - (q/b) a, and m is solved
+    from the user-count equation.  Rows that another row beats or ties on
+    both rate and packet count are dropped unless include_dominated is
+    set.  Result is sorted by ascending rate, then q.
     """
     if k < 2:
         raise ValueError("K must be at least 2")
@@ -222,32 +240,29 @@ def enumerate_schemes(k: int, ratio: Fraction,
         rows.append(SchemeRow(family, q, z, m, t, params.rate, params.f,
                               math.log(params.f)))
 
-    # 1 - ratio as a reduced integer pair keeps the scan cheap
     cnum, cden = (1 - ratio).numerator, (1 - ratio).denominator
-    for q in _divisors(k):
-        for z in range(1, q):
+    divisors = _divisors(k)
+    for t in range(1, t_max + 1):
+        a, b = _root(cnum, t), _root(cden, t)
+        if a**t != cnum or b**t != cden:
+            continue
+        for q in divisors:
+            if q % b:
+                continue
+            z = q - q // b * a
             w = _w(q, z)
-            g = math.gcd(q - z, q)
-            a, b = (q - z) // g, q // g
-            at, bt = a, b
-            for t in range(1, t_max + 1):
-                if bt > cden or at > cnum:
-                    break
-                if at == cnum and bt == cden:  # ratio == 1 - ((q-z)/q)^t
-                    for family in VECTOR_FAMILIES:
-                        ext, special = _switches(family)
-                        if special and t != 1:
-                            continue
-                        # K = C(m,t) unit + (q if special), see theorem_params
-                        rest = k - (q if special else 0)
-                        unit = (w**t if ext else 1) * q**t
-                        if rest % unit == 0:
-                            m = _solve_binomial(rest // unit, t,
-                                                t if special else t + 1)
-                            if m is not None:
-                                add(family, q, z, m, t)
-                at *= a
-                bt *= b
+            for family in VECTOR_FAMILIES:
+                ext, special = _switches(family)
+                if special and t != 1:
+                    continue
+                # K = C(m,t) unit + (q if special), see theorem_params
+                rest = k - (q if special else 0)
+                unit = (w**t if ext else 1) * q**t
+                if rest % unit == 0:
+                    m = _solve_binomial(rest // unit, t,
+                                        t if special else t + 1)
+                    if m is not None:
+                        add(family, q, z, m, t)
 
     if not include_dominated:
         rows = [

@@ -98,6 +98,9 @@ class PdaArray:
         g = np.asarray(grid)
         if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
             raise PdaError("grid must be a 2-D array with at least one row and column")
+        # _by_symbol keys a cell's place in 32 bits
+        if g.size >> 32:
+            raise PdaError("grid holds 2^32 or more cells")
         if not np.issubdtype(g.dtype, np.integer):
             raise PdaError("grid cells must be integers (0 encodes the star)")
         if g.size and int(g.min()) < 0:
@@ -161,43 +164,48 @@ class PdaArray:
         return f"PdaArray(F={self.f}, K={self.k})"
 
 
-def _by_symbol(vals: np.ndarray):
-    """Stable argsort of the symbols ``vals``, the sorted symbols, and the
-    position where each symbol's run opens in them.
+def _by_symbol(vals: np.ndarray, place: np.ndarray):
+    """Sort cells by (symbol, place) for a distinct ``place`` per cell that
+    the caller picks: the sorted places, the sorted symbols, and the index
+    where each symbol's run opens in them.
 
-    It is one sort of the int64 key (symbol, place): symbols are below
-    2^31, and places must stay below 2^32.
+    It is one sort of the int64 key ``symbol << 32 | place``: symbols are
+    below 2^31, and PdaArray keeps places below 2^32.
     """
-    if vals.size >> 32:
-        raise PdaError("grid holds 2^32 or more non-star cells")
     key = vals.astype(np.int64)
     key <<= 32
-    key |= np.arange(vals.size)
+    key |= place
     key.sort()
-    order = key & 0xFFFFFFFF
+    place = key & 0xFFFFFFFF
     key >>= 32
     heads = np.ones(vals.size, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=heads[1:])
-    return order, key, np.flatnonzero(heads)
+    return place, key, np.flatnonzero(heads)
 
 
 class _CellTable:
     """The non-star cells of a grid, which depend on nothing else.
 
     ``rows`` and ``cols`` hold the cells sorted by (symbol, column, row),
-    ``symbols`` the symbols present, ascending, and ``starts`` bounds each
-    symbol's run of cells; ``slot_of`` maps a cell to the index of its
-    symbol, and ``faults`` lists the pairs breaking C3.  The arrays are
-    read-only; the last two are built on first use.
+    one ``_by_symbol`` sort on the place col * F + row; ``symbols`` holds
+    the symbols present, ascending, and ``starts`` bounds each symbol's run
+    of cells; ``slot_of`` maps a cell to the index of its symbol, and
+    ``faults`` lists the pairs breaking C3.  The arrays are read-only; the
+    last two are built on first use.
     """
 
     def __init__(self, grid: np.ndarray):
         self.grid = grid
-        # nonzero of the transpose comes in (column, row) order
-        cols, rows = np.nonzero(grid.T)
-        order, vals, heads = _by_symbol(grid[rows, cols])
-        cells = (rows[order], cols[order], vals[heads],
-                 np.append(heads, vals.size))
+        f, k = grid.shape
+        cells = np.flatnonzero(grid)
+        vals = grid.take(cells)
+        place = cells % k * f
+        place += cells // k
+        del cells
+        place, vals, heads = _by_symbol(vals, place)
+        vals = vals[heads]
+        cols, rows = np.divmod(place, f)
+        cells = (rows, cols, vals, np.append(heads, place.size))
         for a in cells:
             a.flags.writeable = False
         self.rows, self.cols, self.symbols, self.starts = cells
@@ -290,8 +298,8 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
         # symbols above S own the tail of the sorted cells; list them row-major
         lo = int(starts[n_in])
         r, c = table.rows[lo:], table.cols[lo:]
-        order = np.lexsort((c, r, grid[r, c]))
-        r, c = (r[order] + 1).tolist(), (c[order] + 1).tolist()
+        r, c = np.divmod(_by_symbol(grid[r, c], r * arr.k + c)[0], arr.k)
+        r, c = (r + 1).tolist(), (c + 1).tolist()
         ends = (starts[n_in:] - lo).tolist()
         for s, a, b in zip(uniq[n_in:].tolist(), ends, ends[1:]):
             violations.append(Violation("C2", tuple(zip(r[a:b], c[a:b])),
@@ -333,34 +341,22 @@ def canonicalize(arr: PdaArray) -> PdaArray:
     """Renumber symbols to 1..S by first appearance in row-major order.
 
     The star pattern is untouched and the map is a bijection, so validity and
-    counted parameters are preserved; the operation is idempotent.
+    counted parameters are preserved; the operation is idempotent.  With
+    the row-major cell index as the place, each symbol's ``_by_symbol`` run
+    opens on its first appearance.
     """
     flat = arr.grid.ravel()
     cells = np.flatnonzero(flat)
-    # each symbol's run opens on its first appearance in row-major order
-    order, _, heads = _by_symbol(flat[cells])
+    cells, heads = _by_symbol(flat.take(cells), cells)[::2]
     rank = np.empty(heads.size, dtype=np.int32)
-    rank[np.argsort(order[heads])] = np.arange(1, heads.size + 1,
+    rank[np.argsort(cells[heads])] = np.arange(1, heads.size + 1,
                                                dtype=np.int32)
     out = np.zeros(flat.size, dtype=np.int32)
-    out[cells[order]] = np.repeat(rank, np.diff(np.append(heads, cells.size)))
+    out[cells] = np.repeat(rank, np.diff(np.append(heads, cells.size)))
     return PdaArray._owned(out.reshape(arr.grid.shape))
 
 
 def equivalent(a: PdaArray, b: PdaArray) -> bool:
-    """True when b is a under some bijective relabeling of its symbols.
-
-    Requires identical dimensions and star pattern; the induced cell-wise
-    symbol map must be single-valued in both directions.
-    """
-    if a.grid.shape != b.grid.shape:
-        return False
-    ga, gb = a.grid, b.grid
-    if not np.array_equal(ga == STAR, gb == STAR):
-        return False
-    va = ga[ga != STAR]
-    vb = gb[gb != STAR]
-    if va.size == 0:
-        return True
-    pairs = np.unique(np.stack((va, vb), axis=1), axis=0)
-    return pairs.shape[0] == np.unique(va).size == np.unique(vb).size
+    """True when b is a under some bijective relabeling of its symbols:
+    the canonical form is a complete invariant of relabeling."""
+    return canonicalize(a) == canonicalize(b)

@@ -2,9 +2,9 @@
 
 The naive checker below is deliberately independent of the package: it
 works on plain row lists and tests every pair of cells directly, so it can
-serve as an oracle for the grouped-scan verifier.  The plain C3 pair scan
-and the dict-and-loop subset family are kept as references for the
-block-gather kernel and for construct_mn.
+serve as an oracle for the grouped-scan verifier.  The plain C3 pair scan,
+the dict-and-loop subset family and the pairwise relabeling test are kept
+as references for the block-gather kernel, construct_mn and equivalent.
 """
 
 import itertools
@@ -90,6 +90,23 @@ def reference_pair_scan(grid, rows, cols, starts):
     bad = np.flatnonzero((grid[r1, c2] != 0) | (grid[r2, c1] != 0))
     return list(zip(r1[bad].tolist(), c1[bad].tolist(),
                     r2[bad].tolist(), c2[bad].tolist()))
+
+
+def naive_equivalent(ga, gb) -> bool:
+    """True when grid gb is grid ga under a bijective relabeling of its
+    symbols: same shape and star pattern (0), and the cell-wise symbol map
+    single-valued in both directions."""
+    ga, gb = np.asarray(ga), np.asarray(gb)
+    if ga.shape != gb.shape:
+        return False
+    if not np.array_equal(ga == 0, gb == 0):
+        return False
+    va = ga[ga != 0]
+    vb = gb[gb != 0]
+    if va.size == 0:
+        return True
+    pairs = np.unique(np.stack((va, vb), axis=1), axis=0)
+    return pairs.shape[0] == np.unique(va).size == np.unique(vb).size
 
 
 def naive_mn(k, t):

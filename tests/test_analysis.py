@@ -9,6 +9,7 @@ import pytest
 from pdakit import (Family, MemoryShareSpec, SchemeMetrics, compare_general,
                     compare_special, enumerate_schemes, estimate_m_range,
                     memory_share)
+from pdakit.analysis import _root, _solve_binomial
 
 
 def metrics(ratio, rate, f):
@@ -262,6 +263,31 @@ class TestEnumerate:
                 for r in rows]
         assert len(rows) == count
         assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("ratio", [
+        Fraction(1, 10**400),
+        1 - Fraction(2, 3)**1400,
+    ])
+    def test_huge_denominator_stays_in_integers(self, ratio):
+        assert enumerate_schemes(405, ratio) == []
+
+    def test_integer_root(self):
+        assert [_root(n, 2) for n in range(200)] == [
+            math.isqrt(n) for n in range(200)]
+        for n in (10**400, 10**400 - 1, 3**1400):
+            for t in (1, 3, 7):
+                r = _root(n, t)
+                assert r**t <= n < (r + 1)**t
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 8])
+    def test_solve_binomial_matches_scan(self, t):
+        for target in range(1, 400):
+            m = t
+            while math.comb(m, t) < target:
+                m += 1
+            want = m if math.comb(m, t) == target else None
+            assert _solve_binomial(target, t, t) == want
+        assert _solve_binomial(math.comb(10**6, 7), 7, 8) == 10**6
 
     def test_impossible_target_is_empty(self):
         assert enumerate_schemes(3, Fraction(1, 2)) == []

@@ -200,6 +200,32 @@ def _no_store(*args, **kwargs):
     raise AssertionError("the packet store was built")
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["construct", "--family", "mn", "--t", "2"],
+         "construct: mn needs --k and --t\n"),
+        (["construct", "--family", "general", "--q", "3", "--z", "2"],
+         "construct: vector families need --q, --z and --m\n"),
+        (["compare", "--baseline", "szg", "--q", "20"],
+         "compare: szg baseline needs --t\n"),
+        (["enumerate", "--k", "405"],
+         "enumerate: need --k and --ratio (or --table-iii)\n"),
+        (["enumerate", "--k", "405", "--ratio", "1/0"],
+         "pda enumerate: error: argument --ratio: Fraction(1, 0)\n"),
+        (["simulate", str(FIXTURES / "mn_k4_t2.pda"), "--demand", "1,x,3,4"],
+         "error: demand entries must be integers: '1,x,3,4'\n"),
+    ], ids=["mn-no-k", "vector-no-m", "szg-no-t", "enumerate-no-ratio",
+            "ratio-zero-denominator", "demand-not-integer"])
+    def test_exit_2_with_own_message(self, capsys, argv, message):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the --ratio type
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.endswith(message)
+
+
 class TestSimulate:
     def test_known_demand_trace(self, capsys):
         code, out, _ = run(capsys, "simulate", str(FIXTURES / "mn_k4_t2.pda"),

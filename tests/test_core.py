@@ -35,6 +35,13 @@ class TestPdaArray:
         with pytest.raises(PdaError):
             PdaArray.from_rows([[1, 2], [1]])
 
+    def test_rejects_2_32_cells_without_copying(self):
+        # a broadcast view of 2^32 cells allocates nothing; copying it would
+        # take 16 GiB
+        view = np.broadcast_to(np.int32(1), (1 << 16, 1 << 16))
+        with pytest.raises(PdaError, match="2\\^32"):
+            PdaArray(view)
+
     def test_grid_immutable(self):
         with pytest.raises(ValueError):
             MN_4_2.grid[0, 0] = 5

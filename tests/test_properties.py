@@ -5,7 +5,8 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import naive_c2, naive_check, reference_pair_scan
+from helpers import (naive_c2, naive_check, naive_equivalent,
+                     reference_pair_scan)
 from pdakit import (STAR, ConstructionParams, PacketStore, PdaArray,
                     Transmission, TransmissionLog, _kernels, canonicalize,
                     construct, decode_and_verify, deliver, emit, equivalent,
@@ -165,6 +166,43 @@ def test_equivalence_transitive_chain(cells, perm_a, perm_b):
     far = PdaArray(lut_b[mid.grid])
     assert equivalent(arr, mid) and equivalent(mid, far)
     assert equivalent(arr, far)
+
+
+@st.composite
+def grid_pairs(draw):
+    """A small grid and a second one made from it: relabeled, with two
+    symbols merged, with one cell turned to or from a star, transposed, or
+    drawn anew (most often of another shape)."""
+    a = np.array(draw(small_grids), dtype=np.int32)
+    kind = draw(st.sampled_from(["relabel", "merge", "star", "transpose",
+                                 "other"]))
+    if kind == "relabel":
+        lut = np.array([0] + draw(st.permutations(range(1, 9)))[:4],
+                       dtype=np.int32)
+        b = lut[a]
+    elif kind == "merge":
+        old, new = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        b = np.where(a == old, new, a)
+    elif kind == "star":
+        j, k = draw(st.integers(0, a.shape[0] - 1)), draw(
+            st.integers(0, a.shape[1] - 1))
+        b = a.copy()
+        b[j, k] = draw(st.integers(1, 4)) if a[j, k] == STAR else STAR
+    elif kind == "transpose":
+        b = a.T
+    else:
+        b = np.array(draw(small_grids), dtype=np.int32)
+    return a, b
+
+
+@settings(max_examples=300)
+@given(grid_pairs())
+def test_equivalent_matches_pairwise_reference(pair):
+    a, b = pair
+    want = naive_equivalent(a, b)
+    assert naive_equivalent(b, a) == want
+    assert equivalent(PdaArray(a), PdaArray(b)) == want
+    assert equivalent(PdaArray(b), PdaArray(a)) == want
 
 
 @settings(deadline=None, max_examples=40)

@@ -8,7 +8,7 @@ import pytest
 from helpers import fixture_text
 from pdakit import (PdaArray, SizeCapError, canonicalize, emit, parse,
                     verify_pda)
-from pdakit.textio import PdaFormatError, parse_with_header
+from pdakit.textio import PdaFormatError, load, parse_with_header, save
 
 
 class TestParse:
@@ -171,6 +171,11 @@ class TestEmit:
     def test_header_counts(self):
         arr = PdaArray.from_rows([["*", 1], [1, "*"]])
         assert emit(arr).splitlines()[0] == "2 2 1 1"
+
+    def test_save_load_round_trip(self, tmp_path):
+        arr = parse(fixture_text("ext_special_q3_z2_m2.pda"))
+        save(arr, tmp_path / "a.pda")
+        assert load(tmp_path / "a.pda") == arr
 
     def test_trailing_newline_present(self):
         assert emit(PdaArray.from_rows([[1]])).endswith("\n")
