@@ -3,7 +3,7 @@
 Subcommands: construct, verify, simulate, compare, enumerate.  Arrays are
 exchanged in the plain-text format of pdakit.textio.  Exit codes: 0 success,
 1 semantic failure (invalid array or decode failure), 2 usage or parameter
-domain error, 3 cell-count cap exceeded.
+domain error, 3 cell-count or byte cap exceeded.
 """
 
 from __future__ import annotations
@@ -49,9 +49,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"ratio must be an exact fraction a/b, got {text!r}")
     try:
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        num, den = int(num), int(den)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"ratio a/b must be two integers, got {text!r}") from None
+    if den == 0:
+        raise argparse.ArgumentTypeError(
+            f"ratio {text!r} has a zero denominator")
+    return Fraction(num, den)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -190,8 +190,9 @@ class _CellTable:
     one ``_by_symbol`` sort on the place col * F + row; ``symbols`` holds
     the symbols present, ascending, and ``starts`` bounds each symbol's run
     of cells; ``slot_of`` maps a cell to the index of its symbol, and
-    ``faults`` lists the pairs breaking C3.  The arrays are read-only; the
-    last two are built on first use.
+    ``faults`` lists the pairs breaking C3; ``degree_classes`` groups the
+    slots by cell count.  The arrays are read-only; the last three are
+    built on first use.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -215,6 +216,35 @@ class _CellTable:
         slot_of = np.repeat(np.arange(self.symbols.size), np.diff(self.starts))
         slot_of.flags.writeable = False
         return slot_of
+
+    @cached_property
+    def degree_classes(self) -> tuple:
+        """The slots grouped by degree g, a slot's cell count: (cells,
+        slots, classes).
+
+        ``slots`` is one stable argsort of the slot degrees, and ``cells``
+        lists the table's cells in that slot order; each class is
+        (g, slots of the class, cells of the class), two slices into that
+        order, ascending in g.  When every slot has one degree, ``cells``
+        and ``slots`` are None: the table's own order is already sorted.
+        """
+        deg = np.diff(self.starts)
+        slots = np.argsort(deg, kind="stable")
+        deg = deg.take(slots)
+        ends = np.concatenate(([0], np.cumsum(deg)))
+        heads = np.flatnonzero(np.diff(deg, prepend=0)).tolist()
+        bounds = zip(heads, heads[1:] + [deg.size])
+        classes = tuple((int(deg[a]), slice(a, b),
+                         slice(int(ends[a]), int(ends[b])))
+                        for a, b in bounds)
+        if len(classes) < 2:
+            return None, None, classes
+        # a slot's cells keep their order, from its table start onwards
+        cells = np.repeat(self.starts.take(slots) - ends[:-1], deg)
+        cells += np.arange(cells.size)
+        for a in (cells, slots):
+            a.flags.writeable = False
+        return cells, slots, classes
 
     @cached_property
     def faults(self) -> tuple:

@@ -22,9 +22,15 @@ i.e. rate S/F.
 The slots, their terms and the cache audit depend on the array alone: they
 are the array's cell table (core), built once and kept on the array, so a
 demand only gathers packets, with one take on the flat (N*F, packet_size)
-store, and XORs them.  A TransmissionLog is columns over that table: the
-slot symbols and term bounds and the terms themselves are the table's own
-read-only arrays, and the payloads are one flat byte array.  Its
+store, and XORs them.  The table groups the slots by degree g, their term
+count, so the packets of a degree's slots form one (slots, g, words) block
+and one reduce over its middle axis XORs them all; every constructed array
+has a single degree.  A store's N*F*packet_size bytes and a delivery's
+gathered (non-star cells)*packet_size bytes are both held to BYTE_CAP,
+checked before anything is allocated.  A TransmissionLog is columns over
+that table: the slot symbols and term bounds and the terms themselves are
+the table's own read-only arrays, and the payloads are one flat byte
+array.  Its
 ``transmissions`` view of Transmission objects is built only when read, for
 traces and for tests that alter a log.  A PacketStore's data is read-only,
 so each file's SHA-256 is computed once per store and remembered.
@@ -41,9 +47,19 @@ from fractions import Fraction
 
 import numpy as np
 
+from .constructions import SizeCapError, _count_text
 from .core import PdaArray, _cell_table
 
 DEFAULT_PACKET_SIZE = 64
+# the most bytes a packet store (N*F*packet_size) or a delivery's gathered
+# packets (non-star cells * packet_size) may hold
+BYTE_CAP = 1 << 30
+
+
+def _check_bytes(what: str, size: int) -> None:
+    if size > BYTE_CAP:
+        raise SizeCapError(f"the {what} would hold {_count_text(size)} "
+                           f"bytes, above the cap of {BYTE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +97,7 @@ class PacketStore:
                   seed: int = 0) -> "PacketStore":
         if n_files < 1 or f < 1 or packet_size < 1:
             raise ValueError("n_files, f and packet_size must be positive")
+        _check_bytes("packet store", n_files * f * packet_size)
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, size=(n_files, f, packet_size),
                             dtype=np.uint8)
@@ -197,8 +214,12 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
     """The preamble of deliver and decode_and_verify.
 
     Checks the store and the demand, whose K entries must be integers in
-    [1, N] (ValueError otherwise), and returns the demand as int64, the
-    array's cell table and the (S, packet_size) XOR of each slot's packets.
+    [1, N] (ValueError otherwise), and the gather against BYTE_CAP
+    (SizeCapError), and returns the demand as int64, the array's cell table
+    and the (S, packet_size) XOR of each slot's packets.  The packets are
+    gathered in the order of the table's degree classes, with one take,
+    and each class is XORed with one reduce; when the slots have several
+    degrees, the XORs come out in that order and are put back in slot order.
     """
     if store.f != arr.f:
         raise ValueError(
@@ -214,12 +235,26 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
         raise ValueError(f"demand entries must lie in [1, {store.n_files}]")
     d = np.array(d, dtype=np.int64)
     table = _cell_table(arr)
+    _check_bytes("gathered packets", table.rows.size * store.packet_size)
+    cells, slots, classes = table.degree_classes
     # cell (j, k) reads row (d_k - 1) F + j of the (N F, packet_size) view
-    flat = store.data.reshape(-1, store.packet_size)
-    gathered = flat.take((d[table.cols] - 1) * arr.f + table.rows, axis=0)
-    # XOR whole machine words; the widest that divides a packet
+    index = (d[table.cols] - 1) * arr.f + table.rows
+    if cells is not None:
+        index = index.take(cells)
+    gathered = store.data.reshape(-1, store.packet_size).take(index, axis=0)
+    del index  # one int64 per cell: not kept through the XOR
+    # XOR whole machine words, the widest that divides a packet: the g
+    # packets of each slot of degree g are one (g, words) plane
     words = gathered.view(f"u{math.gcd(store.packet_size, 8)}")
-    totals = np.bitwise_xor.reduceat(words, table.starts[:-1], axis=0)
+    width = words.shape[1]
+    totals = np.empty((table.symbols.size, width), words.dtype)
+    for g, in_slots, in_cells in classes:
+        np.bitwise_xor.reduce(words[in_cells].reshape(-1, g, width), axis=1,
+                              out=totals[in_slots])
+    if slots is not None:
+        unsorted = np.empty_like(totals)
+        unsorted[slots] = totals
+        totals = unsorted
     return d, table, totals.view(np.uint8)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import time
+import tracemalloc
 
 import pytest
 
@@ -211,11 +212,16 @@ class TestUsageErrors:
         (["enumerate", "--k", "405"],
          "enumerate: need --k and --ratio (or --table-iii)\n"),
         (["enumerate", "--k", "405", "--ratio", "1/0"],
-         "pda enumerate: error: argument --ratio: Fraction(1, 0)\n"),
+         "pda enumerate: error: argument --ratio: ratio '1/0' has a zero "
+         "denominator\n"),
+        (["enumerate", "--k", "405", "--ratio", "1/x"],
+         "pda enumerate: error: argument --ratio: ratio a/b must be two "
+         "integers, got '1/x'\n"),
         (["simulate", str(FIXTURES / "mn_k4_t2.pda"), "--demand", "1,x,3,4"],
          "error: demand entries must be integers: '1,x,3,4'\n"),
     ], ids=["mn-no-k", "vector-no-m", "szg-no-t", "enumerate-no-ratio",
-            "ratio-zero-denominator", "demand-not-integer"])
+            "ratio-zero-denominator", "ratio-not-integer",
+            "demand-not-integer"])
     def test_exit_2_with_own_message(self, capsys, argv, message):
         try:
             code = main(argv)
@@ -300,6 +306,26 @@ class TestSimulate:
                            "--demand", "1,2,3,4")
         assert code == 1
         assert "decode=FAIL" in out
+
+    @pytest.mark.parametrize("option, value", [
+        ("--packet-size", 10**9), ("--packet-size", 10**12),
+        ("--files", 10**9), ("--files", 10**12)])
+    def test_over_byte_cap_exit_3(self, capsys, option, value):
+        # N * F * packet_size is refused before the store is allocated
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "simulate",
+                                 str(FIXTURES / "mn_k4_t2.pda"), option,
+                                 str(value))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, size = (4, value) if option == "--packet-size" else (value, 64)
+        assert (code, out) == (3, "")
+        assert err == (f"too large: the packet store would hold "
+                       f"{n * 6 * size} bytes, above the cap of "
+                       f"{simulate.BYTE_CAP}\n")
+        assert peak < 1 << 20
 
     def test_deterministic_output(self, capsys):
         args = ("simulate", str(FIXTURES / "special_q3_z2_m2.pda"),

@@ -1,16 +1,21 @@
 """Placement, delivery, decoding against hand-computed byte oracles."""
 
 import hashlib
+import tracemalloc
+import types
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import fixture_text
-from pdakit import (PacketStore, PdaArray, TransmissionLog, _kernels,
+from pdakit import (ConstructionParams, Family, PacketStore, PdaArray,
+                    SizeCapError, TransmissionLog, _kernels,
                     construct_ext_general, construct_general,
                     construct_special, decode_and_verify, deliver, parse,
-                    run_simulation, simulate, verify_pda)
+                    run_simulation, simulate, theorem_params, verify_pda)
 
 MN_4_2 = parse(fixture_text("mn_k4_t2.pda"))
 TWO_USER = PdaArray.from_rows([["*", 1], [1, "*"]])
@@ -334,3 +339,150 @@ class TestColumns:
         assert again.trace_lines() == log.trace_lines()
         assert np.array_equal(again.cols, log.cols)
         assert TransmissionLog(log.transmissions[1:], 4) != log
+
+
+@st.composite
+def uneven_grids(draw):
+    """Grids whose slots differ in degree: few symbols over up to 36 cells
+    (degree-1 slots among them), and at times one symbol filling a whole
+    row or column, or no symbol at all."""
+    f, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    grid = np.array(draw(st.lists(st.integers(0, 8), min_size=f * k,
+                                  max_size=f * k)), dtype=np.int32)
+    grid = grid.reshape(f, k)
+    fill = draw(st.sampled_from(["none", "row", "column", "stars"]))
+    if fill == "row":
+        grid[draw(st.integers(0, f - 1)), :] = 9
+    elif fill == "column":
+        grid[:, draw(st.integers(0, k - 1))] = 9
+    elif fill == "stars":
+        grid[:] = 0
+    return grid
+
+
+def degrees(grid):
+    """The distinct cell counts of the grid's symbols."""
+    return set(np.unique(grid[grid != 0], return_counts=True)[1].tolist())
+
+
+class TestXorByDegree:
+    @given(uneven_grids(), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 256]),
+           st.integers(0, 2**31 - 1))
+    def test_payloads_are_bytewise_xor_of_terms(self, grid, size, seed):
+        arr = PdaArray(grid)
+        store = PacketStore.synthetic(3, arr.f, size, seed=seed)
+        demand = np.random.default_rng(seed).integers(1, 4, size=arr.k)
+        log = deliver(arr, store, demand)
+        symbols = sorted(set(grid[grid != 0].tolist()))
+        assert log.symbols.tolist() == symbols
+        assert log.bytes_sent == len(symbols) * size
+        for t in log.transmissions:
+            want = xor(*(store.packet(demand[k - 1], j) for k, j in t.terms))
+            assert t.payload == want.tobytes()
+            assert len(t.terms) == (grid == t.symbol).sum()
+        assert decode_and_verify(arr, store, demand, log).problems == ()
+
+    @given(uneven_grids())
+    def test_one_reduce_per_degree(self, grid):
+        calls = []
+
+        class Xor:
+            def reduce(self, planes, axis, out):
+                calls.append(planes.shape[1])
+                return np.bitwise_xor.reduce(planes, axis=axis, out=out)
+
+        class Numpy:
+            bitwise_xor = Xor()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        arr = PdaArray(grid)
+        store = PacketStore.synthetic(2, arr.f, 8, seed=0)
+        demand = [1 + u % 2 for u in range(arr.k)]
+        with mock.patch.object(simulate, "np", Numpy()):
+            simulate._prepare(arr, store, demand)
+        assert sorted(calls) == sorted(degrees(grid))
+
+    def test_one_degree_keeps_table_order(self):
+        for arr in (MN_4_2, construct_ext_general(3, 2, 3, 2)):
+            cells, slots, classes = simulate._cell_table(arr).degree_classes
+            assert cells is None and slots is None and len(classes) == 1
+
+    def test_classes_cover_slots_by_degree(self):
+        arr = PdaArray.from_rows([[1, 2, 2], [3, 1, "*"], [1, 4, 4]])
+        cells, slots, classes = simulate._cell_table(arr).degree_classes
+        # degrees 3, 2, 1, 2: slot 3 first, then slots 2 and 4, then slot 1
+        assert slots.tolist() == [2, 1, 3, 0]
+        assert [(g, s.start, s.stop, c.start, c.stop)
+                for g, s, c in classes] == [(1, 0, 1, 0, 1), (2, 1, 3, 1, 5),
+                                             (3, 3, 4, 5, 8)]
+        assert cells.tolist() == [5, 3, 4, 6, 7, 0, 1, 2]
+
+
+class TestByteCap:
+    @pytest.mark.parametrize("n, f, size", [
+        (10**12, 6, 64), (4, 6, 10**12), (1, 10**12, 1), (10**12, 10**12,
+                                                          10**12),
+        (1, 1, simulate.BYTE_CAP + 1)])
+    def test_store_over_cap_refused_before_allocating(self, n, f, size):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError) as info:
+                PacketStore.synthetic(n, f, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            f"the packet store would hold {n * f * size} bytes, above the "
+            f"cap of {simulate.BYTE_CAP}")
+        assert peak < 1 << 16
+
+    def test_store_size_too_long_to_print(self):
+        # 10^6000 bytes: past Python's int-to-text limit
+        with pytest.raises(SizeCapError, match=r"hold more than 10\^5999 "):
+            PacketStore.synthetic(10**3000, 10**3000, 1)
+
+    @pytest.mark.parametrize("size", [simulate.BYTE_CAP, 10**12])
+    def test_gather_over_cap_refused_before_allocating(self, size):
+        class Untouched:
+            @property
+            def data(self):
+                raise AssertionError("packets read")
+        store = Untouched()
+        store.f, store.n_files, store.packet_size = 6, 4, size
+        tracemalloc.start()
+        try:
+            for call in (lambda: deliver(MN_4_2, store, [1, 2, 3, 4]),
+                         lambda: decode_and_verify(MN_4_2, store,
+                                                   [1, 2, 3, 4], None)):
+                with pytest.raises(SizeCapError) as info:
+                    call()
+                assert str(info.value) == (
+                    f"the gathered packets would hold {12 * size} bytes, "
+                    f"above the cap of {simulate.BYTE_CAP}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_caps_are_inclusive(self, monkeypatch):
+        # MN_4_2 has 12 cells: one file of 6 8-byte packets gathers 96 bytes
+        monkeypatch.setattr(simulate, "BYTE_CAP", 96)
+        assert PacketStore.synthetic(2, 6, 8).data.nbytes == 96
+        with pytest.raises(SizeCapError):
+            PacketStore.synthetic(2, 6, 9)
+        store = PacketStore.synthetic(1, 6, 8)
+        assert run_simulation(MN_4_2, store, [1, 1, 1, 1]).success
+        monkeypatch.setattr(simulate, "BYTE_CAP", 95)
+        with pytest.raises(SizeCapError, match="gathered packets"):
+            deliver(MN_4_2, store, [1, 1, 1, 1])
+
+    def test_cap_admits_largest_array_at_default_size(self):
+        # general(10,6,5,1) holds 10^7 cells, the cell cap, with N = K
+        k, f, z, _ = theorem_params(
+            Family.GENERAL, ConstructionParams(10, 6, 5, 1)).as_tuple()
+        size = simulate.DEFAULT_PACKET_SIZE
+        assert f * k == 10**7
+        assert k * f * size <= simulate.BYTE_CAP
+        assert (f - z) * k * size <= simulate.BYTE_CAP
