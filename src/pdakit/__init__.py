@@ -12,12 +12,13 @@ from .analysis import (ComparisonResult, MemoryShareSpec, SchemeMetrics,
                        SchemeRow, compare_general, compare_special,
                        enumerate_schemes, estimate_m_range, memory_share)
 from .constructions import (ConstructionParams, Family, ParamDomainError,
-                            SizeCapError, construct, construct_ext_general,
+                            construct, construct_ext_general,
                             construct_ext_special, construct_general,
                             construct_mn, construct_special, mn_params,
                             standard_sweep, theorem_params)
-from .core import (STAR, PdaArray, PdaError, PdaParams, VerificationReport,
-                   Violation, canonicalize, equivalent, params_of, verify_pda)
+from .core import (STAR, PdaArray, PdaError, PdaParams, SizeCapError,
+                   VerificationReport, Violation, canonicalize, equivalent,
+                   params_of, verify_pda)
 from .simulate import (DecodeReport, PacketStore, Transmission,
                        TransmissionLog, decode_and_verify, deliver,
                        run_simulation)

@@ -41,6 +41,7 @@ from math import comb
 
 from .constructions import (VECTOR_FAMILIES, ConstructionParams, Family,
                             _check_qz, _switches, _w, theorem_params)
+from .core import CELL_CAP, _check_cap
 
 MAX_EXACT_F_BITS = 4096
 
@@ -224,13 +225,17 @@ def enumerate_schemes(k: int, ratio: Fraction,
     multiple of q) that b divides, with z = q - (q/b) a, and m is solved
     from the user-count equation.  Rows that another row beats or ties on
     both rate and packet count are dropped unless include_dominated is
-    set.  Result is sorted by ascending rate, then q.
+    set.  Result is sorted by ascending rate, then q.  Every array has a
+    row, so F*K >= K: a K above CELL_CAP raises SizeCapError, as no array
+    for it could be built.
     """
     if k < 2:
         raise ValueError("K must be at least 2")
     ratio = Fraction(ratio)
     if not 0 < ratio < 1:
         raise ValueError("memory ratio must lie strictly between 0 and 1")
+    # the message leaves K out: it may have thousands of digits
+    _check_cap(k, CELL_CAP, "an array for K users holds at least K cells")
     t_max = int(math.log2(k)) + 1
     rows: list[SchemeRow] = []
 

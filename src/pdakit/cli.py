@@ -3,22 +3,22 @@
 Subcommands: construct, verify, simulate, compare, enumerate.  Arrays are
 exchanged in the plain-text format of pdakit.textio.  Exit codes: 0 success,
 1 semantic failure (invalid array or decode failure), 2 usage or parameter
-domain error, 3 cell-count or byte cap exceeded.
+domain error, 3 a size cap exceeded (the caps are listed in pdakit.core).
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
 import numpy as np
 
 from . import analysis, constructions, simulate, textio
-from .constructions import (ConstructionParams, Family, ParamDomainError,
-                            SizeCapError)
-from .core import canonicalize, params_of, verify_pda
-from .textio import PdaFormatError
+from .constructions import ConstructionParams, Family, ParamDomainError
+from .core import SizeCapError, canonicalize, params_of, verify_pda
+from .textio import PdaFormatError, _quoted, _too_long
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -43,19 +43,42 @@ def _common(sub: argparse.ArgumentParser, table: bool = False) -> None:
                          help="table output format (default text)")
 
 
+# what int() refuses in this form, it refuses for its length
+_DIGITS = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _int_text(text: str, refusal: str) -> int:
+    """int(text); when int() refuses it, ValueError(refusal), or the
+    reason for a run of digits too long to convert."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(_too_long(text) if _DIGITS.fullmatch(text)
+                         else refusal) from None
+
+
+def _int(text: str) -> int:
+    """type= of every integer option: argparse's own message, with the
+    text quoted as a parse error quotes it."""
+    try:
+        return _int_text(text, f"invalid int value: {_quoted(text)}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+
+
 def _fraction(text: str) -> Fraction:
     num, sep, den = text.partition("/")
     if not sep:
         raise argparse.ArgumentTypeError(
-            f"ratio must be an exact fraction a/b, got {text!r}")
+            f"ratio must be an exact fraction a/b, got {_quoted(text)}")
+    refusal = f"ratio a/b must be two integers, got {_quoted(text)}"
     try:
-        num, den = int(num), int(den)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"ratio a/b must be two integers, got {text!r}") from None
+        num, den = _int_text(num, refusal), _int_text(den, refusal)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
     if den == 0:
         raise argparse.ArgumentTypeError(
-            f"ratio {text!r} has a zero denominator")
+            f"ratio {_quoted(text)} has a zero denominator")
     return Fraction(num, den)
 
 
@@ -69,13 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     c = subs.add_parser("construct", help="generate an array from a family")
     c.add_argument("--family", required=True,
                    choices=[f.value for f in Family])
-    c.add_argument("--q", type=int)
-    c.add_argument("--z", type=int)
-    c.add_argument("--m", type=int)
-    c.add_argument("--t", type=int, default=None,
+    c.add_argument("--q", type=_int)
+    c.add_argument("--z", type=_int)
+    c.add_argument("--m", type=_int)
+    c.add_argument("--t", type=_int, default=None,
                    help="subset size (vector families, default 1); "
                         "cached fraction t for the mn family")
-    c.add_argument("--k", type=int, help="user count (mn family only)")
+    c.add_argument("--k", type=_int, help="user count (mn family only)")
     _common(c)
 
     v = subs.add_parser("verify", help="check a file against C1-C3")
@@ -85,25 +108,25 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("simulate",
                         help="run placement, delivery and decoding")
     s.add_argument("path")
-    s.add_argument("--files", type=int, default=None,
+    s.add_argument("--files", type=_int, default=None,
                    help="library size N (default: K)")
-    s.add_argument("--packet-size", type=int,
+    s.add_argument("--packet-size", type=_int,
                    default=simulate.DEFAULT_PACKET_SIZE)
     s.add_argument("--demand", default=None,
                    help="comma-separated file indices, one per user")
-    s.add_argument("--random-demands", type=int, default=None,
+    s.add_argument("--random-demands", type=_int, default=None,
                    help="simulate this many uniformly random demands")
-    s.add_argument("--seed", type=int, default=0,
+    s.add_argument("--seed", type=_int, default=0,
                    help="seed for packets and random demands (default 0)")
     _common(s)
 
     p = subs.add_parser("compare",
                         help="rate/packet ratios against a mixed baseline")
     p.add_argument("--baseline", choices=("szg", "yctc"))
-    p.add_argument("--q", type=int)
-    p.add_argument("--z", type=int, default=None,
+    p.add_argument("--q", type=_int)
+    p.add_argument("--z", type=_int, default=None,
                    help="single z (default: sweep all z with w >= 2)")
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=_int, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--table-iv", action="store_true",
                    help="preset: szg baseline, q=20, t=3, lambda=0.1")
@@ -113,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = subs.add_parser("enumerate",
                         help="families matching a user count and ratio")
-    e.add_argument("--k", type=int)
+    e.add_argument("--k", type=_int)
     e.add_argument("--ratio", type=_fraction,
                    help="exact memory ratio a/b")
     e.add_argument("--include-dominated", action="store_true")
@@ -166,10 +189,8 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_demand(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ValueError(f"demand entries must be integers: {text!r}")
+    refusal = f"demand entries must be integers: {_quoted(text)}"
+    return [_int_text(tok, refusal) for tok in text.split(",")]
 
 
 def _cmd_simulate(args) -> int:
@@ -208,8 +229,6 @@ def _cmd_simulate(args) -> int:
         for u in report.users:
             status = "ok" if u.ok else "FAIL " + "; ".join(u.problems)
             lines.append(f"user {u.user} file {u.demanded}: {status}")
-        for problem in report.problems:
-            lines.append(f"log problem: {problem}")
         lines.append(f"decode={'ok' if report.success else 'FAIL'}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_SEMANTIC

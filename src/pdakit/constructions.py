@@ -54,18 +54,15 @@ from math import comb
 
 import numpy as np
 
-from .core import PdaArray, PdaParams
+# SizeCapError and _count_text are imported from here too
+from .core import (CELL_CAP, _UNPRINTABLE, PdaArray, PdaParams,  # noqa: F401
+                   SizeCapError, _check_cap, _count_text)
 
-# the one cell limit (F*K) of construct and of the .pda parser
-CELL_CAP = 10_000_000
+_CELLS = "array would hold {} cells"
 
 
 class ParamDomainError(ValueError):
     """Construction parameters outside the family's domain."""
-
-
-class SizeCapError(RuntimeError):
-    """Requested array exceeds the cell-count cap."""
 
 
 class Family(str, enum.Enum):
@@ -155,28 +152,6 @@ def mn_params(k: int, t: int) -> PdaParams:
     return PdaParams(k=k, f=comb(k, t), z=comb(k - 1, t - 1), s=comb(k, t + 1))
 
 
-# Python refuses by default to write an int of more than 4300 digits as
-# text, so cell counts from here up are written as a bound.  Exact closed
-# forms that large can take seconds, so construct refuses an array once a
-# lower bound on its cells reaches this; it is over the cap either way.
-_UNPRINTABLE = 10**4300
-
-
-def _count_text(n: int) -> str:
-    """n in decimal, or a power of ten below it when n is too long to
-    print."""
-    if n < _UNPRINTABLE:
-        return str(n)
-    # n >= 2^(bits - 1) > 10^d, as 0.30102 < log10(2)
-    return f"more than 10^{(n.bit_length() - 1) * 30102 // 100000}"
-
-
-def _check_cap(cells: int) -> None:
-    if cells > CELL_CAP:
-        raise SizeCapError(f"array would hold {_count_text(cells)} cells, "
-                           f"above the cap of {CELL_CAP}")
-
-
 def _digits(idx: np.ndarray, radix: int, count: int,
             unit: int = 1) -> np.ndarray:
     """Digits of idx // unit in the given radix, first digit fastest."""
@@ -209,10 +184,10 @@ def construct(family: Family, p: ConstructionParams) -> PdaArray:
     lower = p.q**min(p.m, _UNPRINTABLE.bit_length()
                      // (p.q.bit_length() - 1) + 1)
     if lower >= _UNPRINTABLE:
-        _check_cap(lower)
+        _check_cap(lower, CELL_CAP, _CELLS)
     ext, special = _switches(family)
     params = theorem_params(family, p)
-    _check_cap(params.f * params.k)
+    _check_cap(params.f * params.k, CELL_CAP, _CELLS)
     q, z, m, t, w = p.q, p.z, p.m, p.t, p.w
     k0 = params.k - (q if special else 0)
     # every value stays within S <= F*K <= CELL_CAP, so int32 holds it
@@ -280,9 +255,9 @@ def construct_mn(k: int, t: int) -> PdaArray:
             break
         lower = lower * (k - small + i) // i
     if lower >= _UNPRINTABLE:
-        _check_cap(lower)
+        _check_cap(lower, CELL_CAP, _CELLS)
     params = mn_params(k, t)
-    _check_cap(params.f * params.k)
+    _check_cap(params.f * params.k, CELL_CAP, _CELLS)
     # symbol s is the s-th (t+1)-subset, one row of sup
     sup = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(k), t + 1)),

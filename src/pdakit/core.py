@@ -19,6 +19,14 @@ are kept as exact rationals throughout.
 
 Internally stars are stored as 0 in a read-only numpy int32 grid, so 0 is
 never a symbol.
+
+The size limits live here, and each refuses through the one check
+_check_cap, which raises SizeCapError: CELL_CAP bounds the cells of an array
+that construct builds or a .pda header declares, and the users of an
+enumerate target; C3_WORK_CAP bounds the cross cells the C3 pair scan
+gathers.  simulate keeps its BYTE_CAP on packet bytes and passes it to the
+same check.  SYMBOL_MAX, the int32 bound on a symbol, is a format limit: a
+larger symbol is malformed input.
 """
 
 from __future__ import annotations
@@ -33,12 +41,46 @@ import numpy as np
 from . import _kernels
 
 STAR = 0
+# symbols are stored as int32
+SYMBOL_MAX = int(np.iinfo(np.int32).max)
 # verify_pda names at most this many missing symbols, then counts the rest
 C2_LISTED = 1000
+# the one cell limit (F*K) of construct and of the .pda parser
+CELL_CAP = 10_000_000
+# the most cross cells, sum of g^2 over symbols of g cells, the C3 pair
+# scan gathers; the heaviest array construct writes needs about 1.98e8
+C3_WORK_CAP = 1 << 30
+
+# Python refuses by default to write an int of more than 4300 digits as
+# text, so counts from here up are written as a bound.  Exact closed forms
+# that large can take seconds, so construct refuses an array once a lower
+# bound on its cells reaches this; it is over the cap either way.
+_UNPRINTABLE = 10**4300
 
 
 class PdaError(ValueError):
     """Malformed grid or parameter domain violation."""
+
+
+class SizeCapError(RuntimeError):
+    """A count of cells, bytes or work exceeds its cap."""
+
+
+def _count_text(n: int) -> str:
+    """n in decimal, or a power of ten below it when n is too long to
+    print."""
+    if n < _UNPRINTABLE:
+        return str(n)
+    # n >= 2^(bits - 1) > 10^d, as 0.30102 < log10(2)
+    return f"more than 10^{(n.bit_length() - 1) * 30102 // 100000}"
+
+
+def _check_cap(count: int, cap: int, claim: str) -> None:
+    """Refuse ``count`` above ``cap``: the message is ``claim`` with the
+    count in place of its ``{}``, if it has one, then the cap."""
+    if count > cap:
+        raise SizeCapError(f"{claim.format(_count_text(count))}, "
+                           f"above the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +147,7 @@ class PdaArray:
             raise PdaError("grid cells must be integers (0 encodes the star)")
         if g.size and int(g.min()) < 0:
             raise PdaError("symbols must be positive; 0 encodes the star")
-        if g.size and int(g.max()) > np.iinfo(np.int32).max:
+        if g.size and int(g.max()) > SYMBOL_MAX:
             raise PdaError("symbol values exceed the int32 grid range")
         # always a private copy: the caller keeps no handle to write through
         g = np.array(g, dtype=np.int32, order="C")
@@ -255,8 +297,13 @@ class _CellTable:
         cross cells (j1, k2) and (j2, k1) that are not stars, in that order.
         A star at (j1, k2) is user k2 caching the packet of the term at
         (j1, k1), so one list serves the verifier and the decoder's cache
-        audit.  All indices are 0-based.
+        audit.  All indices are 0-based.  The scan gathers the g x g cross
+        cells of each symbol of g cells; their sum is held to C3_WORK_CAP.
         """
+        g = np.diff(self.starts).astype(np.uint64)
+        # exact: the sum is below (cells)^2 < 2^64
+        _check_cap(int(g @ g), C3_WORK_CAP,
+                   "the C3 pair scan would gather {} cross-cell entries")
         grid = self.grid
         return tuple(
             (int(grid[r1, c1]), (r1, c1), (r2, c2),
@@ -292,7 +339,8 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
     "<n> more symbols never occur" holds the exact count of the rest, so a
     huge declared S stays cheap.  The C3 pass gathers, for each symbol of
     g cells, the g x g block of its cross cells: sum over symbols of g^2
-    cells, in bounded chunks, never (F*K)^2.
+    cells, in bounded chunks, never (F*K)^2.  Above C3_WORK_CAP such
+    cells it raises SizeCapError before gathering any.
     """
     grid = arr.grid
     violations: list[Violation] = []

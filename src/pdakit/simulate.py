@@ -47,8 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constructions import SizeCapError, _count_text
-from .core import PdaArray, _cell_table
+from .core import PdaArray, _cell_table, _check_cap
 
 DEFAULT_PACKET_SIZE = 64
 # the most bytes a packet store (N*F*packet_size) or a delivery's gathered
@@ -56,19 +55,14 @@ DEFAULT_PACKET_SIZE = 64
 BYTE_CAP = 1 << 30
 
 
-def _check_bytes(what: str, size: int) -> None:
-    if size > BYTE_CAP:
-        raise SizeCapError(f"the {what} would hold {_count_text(size)} "
-                           f"bytes, above the cap of {BYTE_CAP}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PacketStore:
     """Synthetic file library: N files split into F packets each.
 
     data has shape (N, F, packet_size), dtype uint8, reproducible from the
     recorded seed.  The store keeps it read-only, copying data that is
-    writable or a view of other memory.
+    writable or a view of other memory.  A store equals only itself, so it
+    can key a dict.
     """
 
     n_files: int
@@ -78,7 +72,7 @@ class PacketStore:
     data: np.ndarray
     # file index -> SHA-256 hex digest; data never changes, so neither do they
     _hashes: dict[int, str] = field(default_factory=dict, init=False,
-                                    repr=False, compare=False)
+                                    repr=False)
 
     def __post_init__(self):
         data = self.data
@@ -97,7 +91,8 @@ class PacketStore:
                   seed: int = 0) -> "PacketStore":
         if n_files < 1 or f < 1 or packet_size < 1:
             raise ValueError("n_files, f and packet_size must be positive")
-        _check_bytes("packet store", n_files * f * packet_size)
+        _check_cap(n_files * f * packet_size, BYTE_CAP,
+                   "the packet store would hold {} bytes")
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, size=(n_files, f, packet_size),
                             dtype=np.uint8)
@@ -235,7 +230,8 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
         raise ValueError(f"demand entries must lie in [1, {store.n_files}]")
     d = np.array(d, dtype=np.int64)
     table = _cell_table(arr)
-    _check_bytes("gathered packets", table.rows.size * store.packet_size)
+    _check_cap(table.rows.size * store.packet_size, BYTE_CAP,
+               "the gathered packets would hold {} bytes")
     cells, slots, classes = table.degree_classes
     # cell (j, k) reads row (d_k - 1) F + j of the (N F, packet_size) view
     index = (d[table.cols] - 1) * arr.f + table.rows

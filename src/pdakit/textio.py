@@ -24,12 +24,12 @@ can still be loaded and diagnosed.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .constructions import CELL_CAP, SizeCapError, _count_text
-from .core import STAR, PdaArray
+from .core import CELL_CAP, STAR, SYMBOL_MAX, PdaArray, _check_cap
 
 
 class PdaFormatError(ValueError):
@@ -47,9 +47,6 @@ class PdaFormatError(ValueError):
             where += ": "
         super().__init__(where + message)
 
-
-# symbols are stored as int32
-SYMBOL_MAX = int(np.iinfo(np.int32).max)
 
 # body rows are converted and emitted in blocks of about this many cells,
 # which bounds the temporary arrays
@@ -77,18 +74,28 @@ def _quoted(tok: str) -> str:
     return repr(tok[:32]) + cut
 
 
+def _too_long(tok: str) -> str:
+    """Why int() refuses ``tok``, a run of digits: it is longer than
+    sys.get_int_max_str_digits()."""
+    return (f"{_quoted(tok)} has more than {sys.get_int_max_str_digits()} "
+            "digits")
+
+
 def _int_token(tok: str, lineno: int, col: int, what: str, minimum: int,
                maximum: int | None = None) -> int:
     digits = tok[1:] if tok.startswith("-") else tok
-    try:
-        # int() alone would also take "+", underscores and non-ASCII digits
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(tok)
-        # and it refuses more digits than sys.get_int_max_str_digits()
-        value = int(tok, 10)
-    except ValueError:
+    # int() alone would also take "+", underscores and non-ASCII digits
+    if not (digits.isascii() and digits.isdigit()):
         raise PdaFormatError(f"{what} {_quoted(tok)} is not an integer",
                              lineno, col)
+    try:
+        value = int(tok, 10)
+    except ValueError:
+        # too many digits: a header count is said to be too long, a symbol
+        # is not an integer the grid holds
+        why = (f"{_quoted(tok)} is not an integer" if maximum is not None
+               else _too_long(tok))
+        raise PdaFormatError(f"{what} {why}", lineno, col) from None
     if value < minimum:
         raise PdaFormatError(
             f"{what} {_quoted(tok)} must be at least {minimum}", lineno, col)
@@ -145,10 +152,7 @@ def parse_with_header(text: str) -> tuple[PdaArray, PdaHeader]:
     z = _int_token(toks[2], lineno, 3, "Z", 0)
     s = _int_token(toks[3], lineno, 4, "S", 0)
     header = PdaHeader(k, f, z, s)
-    if f * k > CELL_CAP:
-        raise SizeCapError(
-            f"header declares {_count_text(f * k)} cells (F={f}, K={k}), "
-            f"above the cap of {CELL_CAP}")
+    _check_cap(f * k, CELL_CAP, f"header declares {{}} cells (F={f}, K={k})")
 
     body = _content(rest + text[offset:].splitlines(), lineno + 1)
     if len(body) != f:

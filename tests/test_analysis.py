@@ -68,6 +68,12 @@ class TestMemoryShare:
         with pytest.raises(ValueError, match="at least one"):
             MemoryShareSpec(())
 
+    def test_metrics_domain(self):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            SchemeMetrics(Fraction(1), Fraction(1), 1, 0.0)
+        with pytest.raises(ValueError, match="rate must be positive"):
+            SchemeMetrics(Fraction(1, 2), Fraction(0), 1, 0.0)
+
     def test_huge_f_uses_log_sum(self):
         big = SchemeMetrics(Fraction(1, 2), Fraction(1), None, 5000.0)
         out = memory_share(MemoryShareSpec(
@@ -288,6 +294,11 @@ class TestEnumerate:
             want = m if math.comb(m, t) == target else None
             assert _solve_binomial(target, t, t) == want
         assert _solve_binomial(math.comb(10**6, 7), 7, 8) == 10**6
+
+    def test_m_range_domain(self):
+        for k, q, t in ((0, 2, 1), (4, 1, 1), (4, 2, 0)):
+            with pytest.raises(ValueError, match="need K >= 1"):
+                estimate_m_range(k, q, t)
 
     def test_impossible_target_is_empty(self):
         assert enumerate_schemes(3, Fraction(1, 2)) == []

@@ -1,0 +1,201 @@
+"""Size limits: every refusal, its full message and its exit code."""
+
+import os
+import resource
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pdakit
+from pdakit import (PacketStore, SizeCapError, _kernels, construct_general,
+                    construct_mn, decode_and_verify, deliver,
+                    enumerate_schemes, parse, simulate, verify_pda)
+from pdakit import analysis, core
+from pdakit.cli import main
+from pdakit.core import _cell_table
+
+BIG = 10**3000
+
+
+def _gather_over_lowered_cap(monkeypatch):
+    # mn(4, 2) has 12 non-star cells: 12 packets of 8 bytes are gathered
+    monkeypatch.setattr(simulate, "BYTE_CAP", 95)
+    deliver(construct_mn(4, 2), PacketStore.synthetic(1, 6, 8), [1] * 4)
+
+
+REFUSALS = [
+    ("vector", lambda mp: construct_general(3, 2, 12, 1),
+     "array would hold 38263752 cells, above the cap of 10000000"),
+    ("vector-unprintable",
+     lambda mp: construct_general(2, 1, 200_000, 100_000),
+     "array would hold more than 10^4300 cells, above the cap of 10000000"),
+    ("mn", lambda mp: construct_mn(5000, 2),
+     "array would hold 62487500000 cells, above the cap of 10000000"),
+    ("mn-unprintable", lambda mp: construct_mn(30_000, 15_000),
+     "array would hold more than 10^4300 cells, above the cap of 10000000"),
+    ("header", lambda mp: parse("100000 1000 0 1\n* 1\n"),
+     "header declares 100000000 cells (F=1000, K=100000), above the cap of "
+     "10000000"),
+    ("header-unprintable", lambda mp: parse(f"{BIG} {BIG} 0 1\n* 1\n"),
+     f"header declares more than 10^5999 cells (F={BIG}, K={BIG}), above "
+     "the cap of 10000000"),
+    ("store", lambda mp: PacketStore.synthetic(10**12, 6, 64),
+     "the packet store would hold 384000000000000 bytes, above the cap of "
+     "1073741824"),
+    ("store-unprintable", lambda mp: PacketStore.synthetic(BIG, BIG, 1),
+     "the packet store would hold more than 10^5999 bytes, above the cap "
+     "of 1073741824"),
+    ("gather", _gather_over_lowered_cap,
+     "the gathered packets would hold 96 bytes, above the cap of 95"),
+]
+
+
+@pytest.mark.parametrize("refuse, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_refusal_text(monkeypatch, refuse, message):
+    with pytest.raises(SizeCapError) as info:
+        refuse(monkeypatch)
+    assert str(info.value) == message
+
+
+def run_limited(*argv, timeout=60):
+    """Run ``pda`` as a child process under a 2 GiB address-space limit,
+    set on the child only: (exit code, stderr, seconds)."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    env = dict(os.environ, PYTHONPATH=str(Path(pdakit.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pdakit.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limit, timeout=timeout)
+    return proc.returncode, proc.stderr, time.perf_counter() - start
+
+
+class TestC3WorkCap:
+    def test_cap_is_inclusive(self, monkeypatch):
+        # mn(4, 2): 4 symbols of 3 cells gather 4 * 3^2 = 36 cross cells
+        monkeypatch.setattr(core, "C3_WORK_CAP", 36)
+        assert verify_pda(construct_mn(4, 2)).valid
+        monkeypatch.setattr(core, "C3_WORK_CAP", 35)
+        with pytest.raises(SizeCapError) as info:
+            verify_pda(construct_mn(4, 2))
+        assert str(info.value) == ("the C3 pair scan would gather 36 "
+                                   "cross-cell entries, above the cap of 35")
+
+    def test_refused_before_the_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pair scan ran")
+        monkeypatch.setattr(_kernels, "c3_pair_scan", refuse)
+        monkeypatch.setattr(core, "C3_WORK_CAP", 35)
+        arr = construct_mn(4, 2)
+        store = PacketStore.synthetic(1, 6, 8)
+        for check in (lambda: verify_pda(arr),
+                      lambda: decode_and_verify(
+                          arr, store, [1] * 4, deliver(arr, store, [1] * 4))):
+            with pytest.raises(SizeCapError, match="cross-cell entries"):
+                check()
+
+    def test_cap_admits_heaviest_constructible_array(self):
+        # general(2,1,12,3): 4096 symbols of 220 cells each
+        starts = _cell_table(construct_general(2, 1, 12, 3)).starts
+        g = np.diff(starts)
+        assert int(g @ g) == 198_246_400 <= core.C3_WORK_CAP
+
+    def test_all_ones_file_exits_3_in_seconds(self, tmp_path):
+        # one symbol of 2*10^5 cells: 4*10^10 cross cells
+        path = tmp_path / "ones.pda"
+        path.write_text("200 1000 0 1\n" + ("1 " * 199 + "1\n") * 1000)
+        code, err, seconds = run_limited("verify", str(path))
+        assert (code, err) == (3, (
+            "too large: the C3 pair scan would gather 40000000000 "
+            "cross-cell entries, above the cap of 1073741824\n"))
+        assert seconds < 5
+
+
+class TestUserCountCap:
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(analysis, "CELL_CAP", 405)
+        assert enumerate_schemes(405, Fraction(2, 3))
+        with pytest.raises(SizeCapError) as info:
+            enumerate_schemes(406, Fraction(2, 3))
+        assert str(info.value) == ("an array for K users holds at least K "
+                                   "cells, above the cap of 405")
+
+    def test_huge_k_exits_3_at_once(self, capsys):
+        start = time.perf_counter()
+        code = main(["enumerate", "--k", "7" * 4000, "--ratio", "1/2"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 2
+        assert (code, captured.out) == (3, "")
+        assert captured.err == ("too large: an array for K users holds at "
+                                "least K cells, above the cap of 10000000\n")
+
+
+def usage_error(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects an option's type
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err.splitlines()[-1]
+
+
+SEVENS = "7" * 5000
+FIXTURE = str(Path(__file__).parent / "fixtures" / "mn_k4_t2.pda")
+QUOTED = f"'{SEVENS[:32]}'... (5000 characters)"
+
+
+class TestBoundedEchoes:
+    @pytest.mark.parametrize("argv, message", [
+        (["enumerate", "--k", "405", "--ratio", f"1/{SEVENS}"],
+         f"pda enumerate: error: argument --ratio: {QUOTED} has more than "
+         "4300 digits"),
+        (["enumerate", "--k", "405", "--ratio", f"1/x{SEVENS}"],
+         "pda enumerate: error: argument --ratio: ratio a/b must be two "
+         f"integers, got '1/x{SEVENS[:29]}'... (5003 characters)"),
+        (["enumerate", "--k", "405", "--ratio", SEVENS],
+         "pda enumerate: error: argument --ratio: ratio must be an exact "
+         f"fraction a/b, got {QUOTED}"),
+        (["enumerate", "--k", "405", "--ratio", f"1/{'0' * 40}"],
+         f"pda enumerate: error: argument --ratio: ratio '1/{'0' * 30}'... "
+         "(42 characters) has a zero denominator"),
+        (["enumerate", "--k", SEVENS, "--ratio", "1/2"],
+         f"pda enumerate: error: argument --k: {QUOTED} has more than 4300 "
+         "digits"),
+        (["enumerate", "--k", "x" + SEVENS, "--ratio", "1/2"],
+         f"pda enumerate: error: argument --k: invalid int value: "
+         f"'x{SEVENS[:31]}'... (5001 characters)"),
+        (["simulate", FIXTURE, "--files", SEVENS],
+         f"pda simulate: error: argument --files: {QUOTED} has more than "
+         "4300 digits"),
+        (["simulate", FIXTURE, "--demand", f"1,2,3,x{SEVENS}"],
+         "error: demand entries must be integers: "
+         f"'1,2,3,x{SEVENS[:25]}'... (5007 characters)"),
+        (["simulate", FIXTURE, "--demand", f"1,2,3,{SEVENS}"],
+         f"error: {QUOTED} has more than 4300 digits"),
+    ], ids=["ratio-long-digits", "ratio-long-text", "ratio-no-slash",
+            "ratio-long-zero", "k-long-digits", "k-long-text",
+            "files-long-digits", "demand-long-text", "demand-long-digits"])
+    def test_long_text_is_quoted_with_its_length(self, capsys, argv,
+                                                 message):
+        code, last = usage_error(capsys, *argv)
+        assert (code, last) == (2, message)
+
+    @pytest.mark.parametrize("text", ["x", "1.5", "+-5", " ", "1 2"])
+    def test_short_int_text_keeps_argparse_message(self, capsys, text):
+        code, last = usage_error(capsys, "enumerate", "--k", text,
+                                 "--ratio", "1/2")
+        assert (code, last) == (2, "pda enumerate: error: argument --k: "
+                                   f"invalid int value: {text!r}")
+
+    def test_header_count_too_long_to_convert(self):
+        with pytest.raises(pdakit.PdaFormatError) as info:
+            parse(f"{SEVENS} 1 0 1\n1\n")
+        assert str(info.value) == f"line 1, token 1: K {QUOTED} has more " \
+                                  "than 4300 digits"

@@ -190,6 +190,14 @@ class TestDomains:
             with pytest.raises(ParamDomainError, match="fixes t = 1"):
                 construct(family, ConstructionParams(3, 2, 2, 2))
 
+    def test_mn_needs_two_users(self):
+        with pytest.raises(ParamDomainError, match="K must be at least 2"):
+            mn_params(1, 1)
+
+    def test_construct_refers_mn_to_construct_mn(self):
+        with pytest.raises(ParamDomainError, match="call construct_mn"):
+            construct(Family.MN, P_3221)
+
     def test_theorem_params_refers_mn_to_mn_params(self):
         with pytest.raises(ParamDomainError, match="use mn_params"):
             theorem_params("mn", ConstructionParams(3, 2, 2, 2))

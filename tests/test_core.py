@@ -10,7 +10,7 @@ from helpers import fixture_text, naive_check
 from pdakit import (PacketStore, PdaArray, PdaError, PdaParams, _kernels,
                     canonicalize, construct_ext_general, construct_mn,
                     deliver, equivalent, params_of, parse, verify_pda)
-from pdakit.core import _CellTable
+from pdakit.core import SYMBOL_MAX, _CellTable
 
 MN_4_2 = parse(fixture_text("mn_k4_t2.pda"))
 GEN_18x6 = parse(fixture_text("general_q3_z2_m2_t1.pda"))
@@ -45,6 +45,23 @@ class TestPdaArray:
     def test_grid_immutable(self):
         with pytest.raises(ValueError):
             MN_4_2.grid[0, 0] = 5
+
+    def test_rejects_non_integer_and_over_int32_cells(self):
+        with pytest.raises(PdaError, match="must be integers"):
+            PdaArray(np.array([[1.5]]))
+        with pytest.raises(PdaError, match="int32"):
+            PdaArray(np.array([[SYMBOL_MAX + 1]], dtype=np.int64))
+        assert PdaArray(np.array([[SYMBOL_MAX]])).to_rows() == [[SYMBOL_MAX]]
+
+    def test_attributes_cannot_be_set(self):
+        with pytest.raises(AttributeError, match="immutable"):
+            MN_4_2.grid = MN_4_2.grid
+
+    def test_equality_hash_and_repr(self):
+        copy = PdaArray(MN_4_2.grid)
+        assert copy == MN_4_2 and len({copy, MN_4_2}) == 1
+        assert MN_4_2.__eq__("mn") is NotImplemented and MN_4_2 != "mn"
+        assert repr(MN_4_2) == "PdaArray(F=6, K=4)"
 
     def test_grid_not_shared_with_writable_base(self):
         base = np.array([[0, 1], [1, 0]], dtype=np.int32)
@@ -235,6 +252,11 @@ class TestParams:
     def test_rejects_symbol_free_array(self):
         with pytest.raises(PdaError):
             params_of(PdaArray.from_rows([["*"]]))
+
+    def test_params_need_positive_k_and_f(self):
+        for k, f in ((0, 1), (1, 0)):
+            with pytest.raises(PdaError, match="K and F must be positive"):
+                PdaParams(k=k, f=f, z=0, s=1)
 
     def test_params_validation(self):
         with pytest.raises(PdaError):

@@ -69,6 +69,12 @@ class TestPacketStore:
             assert store.file_hash(1) == PacketStore(
                 2, 3, 8, 0, store.data.copy()).file_hash(1)
 
+    def test_store_equals_only_itself(self):
+        a = PacketStore.synthetic(2, 3, 8, seed=4)
+        b = PacketStore.synthetic(2, 3, 8, seed=4)
+        assert a == a and a != b
+        assert {a: "a", b: "b"}[a] == "a"
+
     def test_hash_memo_hidden(self):
         a = PacketStore.synthetic(2, 3, 8, seed=4)
         b = PacketStore.synthetic(2, 3, 8, seed=4)
@@ -339,6 +345,10 @@ class TestColumns:
         assert again.trace_lines() == log.trace_lines()
         assert np.array_equal(again.cols, log.cols)
         assert TransmissionLog(log.transmissions[1:], 4) != log
+
+    def test_log_differs_from_other_types(self):
+        log = deliver(MN_4_2, PacketStore.synthetic(6, 6, 4), [1, 2, 3, 4])
+        assert log.__eq__(log.payload) is NotImplemented and log != "log"
 
 
 @st.composite
