@@ -39,8 +39,21 @@ def _common(sub: argparse.ArgumentParser, table: bool = False) -> None:
     sub.add_argument("--out", default="-",
                      help="output path, or - for stdout (default)")
     if table:
-        sub.add_argument("--format", choices=("text", "csv"), default="text",
-                         help="table output format (default text)")
+        _choice(sub, "--format", ("text", "csv"), default="text",
+                help="table output format (default text)")
+
+
+def _choice(sub: argparse.ArgumentParser, flag: str, names, **kwargs):
+    """Add an option taking one of ``names``, shown as argparse shows
+    choices, whose refusal quotes the text as a parse error does."""
+    def choice(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {_quoted(text)} (choose from "
+                f"{', '.join(map(repr, names))})")
+        return text
+    sub.add_argument(flag, type=choice, metavar=f"{{{','.join(names)}}}",
+                     **kwargs)
 
 
 # what int() refuses in this form, it refuses for its length
@@ -64,6 +77,15 @@ def _int(text: str) -> int:
         return _int_text(text, f"invalid int value: {_quoted(text)}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(exc) from None
+
+
+def _float(text: str) -> float:
+    """type= of --lambda: argparse's own message, with the text quoted."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {_quoted(text)}") from None
 
 
 def _fraction(text: str) -> Fraction:
@@ -90,8 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = top.add_subparsers(dest="command", required=True)
 
     c = subs.add_parser("construct", help="generate an array from a family")
-    c.add_argument("--family", required=True,
-                   choices=[f.value for f in Family])
+    _choice(c, "--family", [f.value for f in Family], required=True)
     c.add_argument("--q", type=_int)
     c.add_argument("--z", type=_int)
     c.add_argument("--m", type=_int)
@@ -122,12 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("compare",
                         help="rate/packet ratios against a mixed baseline")
-    p.add_argument("--baseline", choices=("szg", "yctc"))
+    _choice(p, "--baseline", ("szg", "yctc"))
     p.add_argument("--q", type=_int)
     p.add_argument("--z", type=_int, default=None,
                    help="single z (default: sweep all z with w >= 2)")
     p.add_argument("--t", type=_int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_float, default=None)
     p.add_argument("--table-iv", action="store_true",
                    help="preset: szg baseline, q=20, t=3, lambda=0.1")
     p.add_argument("--table-v", action="store_true",
@@ -328,7 +349,12 @@ def main(argv=None) -> int:
         print(f"too large: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ParamDomainError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # str(exc) would quote the whole path
+            text = (f"[Errno {exc.errno}] {exc.strerror}: "
+                    f"{_quoted(str(exc.filename))}")
+        print(f"error: {text}", file=sys.stderr)
         return EXIT_USAGE
 
 

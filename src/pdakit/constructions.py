@@ -54,9 +54,7 @@ from math import comb
 
 import numpy as np
 
-# SizeCapError and _count_text are imported from here too
-from .core import (CELL_CAP, _UNPRINTABLE, PdaArray, PdaParams,  # noqa: F401
-                   SizeCapError, _check_cap, _count_text)
+from .core import CELL_CAP, _UNPRINTABLE, PdaArray, PdaParams, _check_cap
 
 _CELLS = "array would hold {} cells"
 

@@ -21,16 +21,18 @@ i.e. rate S/F.
 
 The slots, their terms and the cache audit depend on the array alone: they
 are the array's cell table (core), built once and kept on the array, so a
-demand only gathers packets, with one take on the flat (N*F, packet_size)
-store, and XORs them.  The table groups the slots by degree g, their term
-count, so the packets of a degree's slots form one (slots, g, words) block
-and one reduce over its middle axis XORs them all; every constructed array
-has a single degree.  A store's N*F*packet_size bytes and a delivery's
-gathered (non-star cells)*packet_size bytes are both held to BYTE_CAP,
-checked before anything is allocated.  A TransmissionLog is columns over
-that table: the slot symbols and term bounds and the terms themselves are
-the table's own read-only arrays, and the payloads are one flat byte
-array.  Its
+demand only gathers packets from the flat (N*F, packet_size) store and XORs
+them.  The table groups the slots by degree g, their term count (every
+constructed array has a single degree), and the n slots of a degree are
+worked term-major: each take reads the next ceil(g / n) terms of every
+slot, XORs them and XORs the result into the n slots' running payloads.
+That is at most min(g, n) takes per degree, none larger than n + g
+packets, so a delivery never holds all its gathered packets at once.  A
+store's N*F*packet_size bytes and a delivery's gathered (non-star
+cells)*packet_size bytes are both held to BYTE_CAP, checked before anything
+is allocated.  A TransmissionLog is columns over that table: the slot
+symbols and term bounds and the terms themselves are the table's own
+read-only arrays, and the payloads are one flat byte array.  Its
 ``transmissions`` view of Transmission objects is built only when read, for
 traces and for tests that alter a log.  A PacketStore's data is read-only,
 so each file's SHA-256 is computed once per store and remembered.
@@ -211,10 +213,15 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
     Checks the store and the demand, whose K entries must be integers in
     [1, N] (ValueError otherwise), and the gather against BYTE_CAP
     (SizeCapError), and returns the demand as int64, the array's cell table
-    and the (S, packet_size) XOR of each slot's packets.  The packets are
-    gathered in the order of the table's degree classes, with one take,
-    and each class is XORed with one reduce; when the slots have several
-    degrees, the XORs come out in that order and are put back in slot order.
+    and the (S, packet_size) XOR of each slot's packets.  Each degree
+    class of n slots of degree g is worked term by term: its cells' store
+    rows form an (n, g) index, and each take reads b = ceil(g / n) of its
+    columns, whose packets are XORed over the b terms and into the class's
+    n accumulated rows.  So a class costs at most min(g, n) takes, and no
+    take holds more than n + g packets: the (cells, packet_size) block of
+    all gathered packets is never built.  When the slots have several
+    degrees, the XORs come out in class order and are put back in slot
+    order.
     """
     if store.f != arr.f:
         raise ValueError(
@@ -237,16 +244,21 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
     index = (d[table.cols] - 1) * arr.f + table.rows
     if cells is not None:
         index = index.take(cells)
-    gathered = store.data.reshape(-1, store.packet_size).take(index, axis=0)
-    del index  # one int64 per cell: not kept through the XOR
-    # XOR whole machine words, the widest that divides a packet: the g
-    # packets of each slot of degree g are one (g, words) plane
-    words = gathered.view(f"u{math.gcd(store.packet_size, 8)}")
-    width = words.shape[1]
-    totals = np.empty((table.symbols.size, width), words.dtype)
+    # XOR whole machine words, the widest that divides a packet
+    words = store.data.reshape(-1, store.packet_size).view(
+        f"u{math.gcd(store.packet_size, 8)}")
+    totals = np.zeros((table.symbols.size, words.shape[1]), words.dtype)
     for g, in_slots, in_cells in classes:
-        np.bitwise_xor.reduce(words[in_cells].reshape(-1, g, width), axis=1,
-                              out=totals[in_slots])
+        # row i holds the g terms of the class's slot i; b term columns
+        # per take keep each take within n + g packets and the loop within
+        # min(g, n) takes
+        terms = index[in_cells].reshape(-1, g)
+        b = -(-g // terms.shape[0])
+        acc = totals[in_slots]
+        for a in range(0, g, b):
+            block = words.take(terms[:, a:a + b], axis=0)
+            acc ^= (np.bitwise_xor.reduce(block, axis=1) if b > 1
+                    else block[:, 0])
     if slots is not None:
         unsorted = np.empty_like(totals)
         unsorted[slots] = totals

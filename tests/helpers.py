@@ -120,6 +120,43 @@ def naive_mn(k, t):
     return grid
 
 
+def naive_deliver(rows, files, demand):
+    """{symbol: payload} for a grid of '*'/int cells: the byte-wise XOR of
+    packet j of file demand[k] over every cell (j, k) holding the symbol.
+    files[i][j] is packet j of file i + 1, as bytes; indices are 0-based
+    except the file numbers in demand."""
+    payloads = {}
+    for j, row in enumerate(rows):
+        for k, s in enumerate(row):
+            if s != "*":
+                packet = files[demand[k] - 1][j]
+                acc = payloads.get(s, bytes(len(packet)))
+                payloads[s] = bytes(x ^ y for x, y in zip(acc, packet))
+    return payloads
+
+
+def naive_decode(rows, files, demand, payloads):
+    """Each user's file as it decodes from its cache and the payloads:
+    star rows are its own copies, and the row j of a cell holding s is
+    payloads[s] XOR the packets of the symbol's other cells."""
+    decoded = []
+    for k, i in enumerate(demand):
+        got = list(files[i - 1])
+        for j, row in enumerate(rows):
+            s = row[k]
+            if s == "*":
+                continue
+            acc = payloads[s]
+            for j2, row2 in enumerate(rows):
+                for k2, s2 in enumerate(row2):
+                    if s2 == s and (j2, k2) != (j, k):
+                        packet = files[demand[k2] - 1][j2]
+                        acc = bytes(x ^ y for x, y in zip(acc, packet))
+            got[j] = acc
+        decoded.append(b"".join(got))
+    return decoded
+
+
 def naive_valid(rows) -> bool:
     return all(naive_check(rows))
 

@@ -179,13 +179,57 @@ class TestBoundedEchoes:
          f"'1,2,3,x{SEVENS[:25]}'... (5007 characters)"),
         (["simulate", FIXTURE, "--demand", f"1,2,3,{SEVENS}"],
          f"error: {QUOTED} has more than 4300 digits"),
+        (["compare", "--baseline", "szg", "--q", "20", "--t", "3",
+          "--lambda", "x" + SEVENS],
+         "pda compare: error: argument --lambda: invalid float value: "
+         f"'x{SEVENS[:31]}'... (5001 characters)"),
+        (["enumerate", "--table-iii", "--format", SEVENS],
+         f"pda enumerate: error: argument --format: invalid choice: "
+         f"{QUOTED} (choose from 'text', 'csv')"),
+        (["compare", "--baseline", SEVENS, "--q", "20"],
+         f"pda compare: error: argument --baseline: invalid choice: "
+         f"{QUOTED} (choose from 'szg', 'yctc')"),
+        (["construct", "--family", SEVENS],
+         f"pda construct: error: argument --family: invalid choice: "
+         f"{QUOTED} (choose from 'mn', 'general', 'special', "
+         "'ext-general', 'ext-special')"),
+        (["verify", SEVENS],
+         f"error: [Errno 36] File name too long: {QUOTED}"),
+        (["verify", "/" + "7" * 40],
+         "error: [Errno 2] No such file or directory: "
+         f"'/{SEVENS[:31]}'... (41 characters)"),
     ], ids=["ratio-long-digits", "ratio-long-text", "ratio-no-slash",
             "ratio-long-zero", "k-long-digits", "k-long-text",
-            "files-long-digits", "demand-long-text", "demand-long-digits"])
+            "files-long-digits", "demand-long-text", "demand-long-digits",
+            "lambda-long-text", "format-long-choice", "baseline-long-choice",
+            "family-long-choice", "verify-long-path", "verify-missing-path"])
     def test_long_text_is_quoted_with_its_length(self, capsys, argv,
                                                  message):
         code, last = usage_error(capsys, *argv)
         assert (code, last) == (2, message)
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--baseline", "szg", "--q", "20", "--t", "3",
+         "--lambda", "x" * 5000],
+        ["enumerate", "--table-iii", "--format", "x" * 5000],
+        ["verify", "x" * 5000]])
+    def test_long_echo_in_a_process_stays_short(self, argv):
+        code, err, _ = run_limited(*argv)
+        assert code == 2 and "Traceback" not in err
+        assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--baseline", "szg", "--q", "20", "--t", "3",
+          "--lambda", "1/2"],
+         "pda compare: error: argument --lambda: invalid float value: "
+         "'1/2'"),
+        (["enumerate", "--table-iii", "--format", "tsv"],
+         "pda enumerate: error: argument --format: invalid choice: 'tsv' "
+         "(choose from 'text', 'csv')"),
+        (["verify", "no-such.pda"],
+         "error: [Errno 2] No such file or directory: 'no-such.pda'")])
+    def test_short_text_keeps_its_message(self, capsys, argv, message):
+        assert usage_error(capsys, *argv) == (2, message)
 
     @pytest.mark.parametrize("text", ["x", "1.5", "+-5", " ", "1 2"])
     def test_short_int_text_keeps_argparse_message(self, capsys, text):

@@ -15,7 +15,7 @@ from pdakit import (ConstructionParams, Family, ParamDomainError, PdaParams,
                     construct_ext_special, construct_general, construct_mn,
                     construct_special, equivalent, mn_params, params_of,
                     parse, standard_sweep, theorem_params, verify_pda)
-from pdakit.constructions import _count_text
+from pdakit.core import _count_text
 
 P_3221 = ConstructionParams(3, 2, 2, 1)
 

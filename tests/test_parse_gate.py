@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import fixture_text, naive_parse
 from pdakit import PdaArray, emit
 from pdakit.cli import main
-from pdakit.constructions import SizeCapError
+from pdakit.core import SizeCapError
 from pdakit.textio import PdaFormatError, parse_with_header
 
 FIXTURE_NAMES = ("mn_k4_t2.pda", "special_q3_z2_m2.pda",

@@ -2,18 +2,16 @@
 
 import hashlib
 import tracemalloc
-import types
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import fixture_text
+from helpers import fixture_text, naive_decode, naive_deliver
 from pdakit import (ConstructionParams, Family, PacketStore, PdaArray,
-                    SizeCapError, TransmissionLog, _kernels,
-                    construct_ext_general, construct_general,
+                    SizeCapError, Transmission, TransmissionLog, _kernels,
+                    construct_ext_general, construct_general, construct_mn,
                     construct_special, decode_and_verify, deliver, parse,
                     run_simulation, simulate, theorem_params, verify_pda)
 
@@ -370,11 +368,6 @@ def uneven_grids(draw):
     return grid
 
 
-def degrees(grid):
-    """The distinct cell counts of the grid's symbols."""
-    return set(np.unique(grid[grid != 0], return_counts=True)[1].tolist())
-
-
 class TestXorByDegree:
     @given(uneven_grids(), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 256]),
            st.integers(0, 2**31 - 1))
@@ -393,26 +386,34 @@ class TestXorByDegree:
         assert decode_and_verify(arr, store, demand, log).problems == ()
 
     @given(uneven_grids())
-    def test_one_reduce_per_degree(self, grid):
-        calls = []
+    def test_takes_bounded_per_class(self, grid):
+        # a class of n slots of degree g is read in at most min(g, n)
+        # takes of at most n + g packets, each term exactly once
+        shapes = []
 
-        class Xor:
-            def reduce(self, planes, axis, out):
-                calls.append(planes.shape[1])
-                return np.bitwise_xor.reduce(planes, axis=axis, out=out)
-
-        class Numpy:
-            bitwise_xor = Xor()
-
-            def __getattr__(self, name):
-                return getattr(np, name)
+        class Recording(np.ndarray):
+            def take(self, indices, axis=None, **kwargs):
+                shapes.append(np.shape(indices))
+                return np.asarray(self).take(indices, axis=axis, **kwargs)
 
         arr = PdaArray(grid)
-        store = PacketStore.synthetic(2, arr.f, 8, seed=0)
+        plain = PacketStore.synthetic(2, arr.f, 8, seed=0)
+        store = PacketStore(2, arr.f, 8, 0, plain.data.view(Recording))
         demand = [1 + u % 2 for u in range(arr.k)]
-        with mock.patch.object(simulate, "np", Numpy()):
-            simulate._prepare(arr, store, demand)
-        assert sorted(calls) == sorted(degrees(grid))
+        totals = simulate._prepare(arr, store, demand)[2]
+        assert np.array_equal(totals, simulate._prepare(arr, plain,
+                                                        demand)[2])
+        _, _, classes = simulate._cell_table(arr).degree_classes
+        for g, in_slots, _ in classes:
+            n = in_slots.stop - in_slots.start
+            read = takes = 0
+            while read < g:
+                rows, cols = shapes.pop(0)
+                assert rows == n and rows * cols <= n + g
+                read += cols
+                takes += 1
+            assert read == g and takes <= min(g, n)
+        assert shapes == []
 
     def test_one_degree_keeps_table_order(self):
         for arr in (MN_4_2, construct_ext_general(3, 2, 3, 2)):
@@ -428,6 +429,84 @@ class TestXorByDegree:
                 for g, s, c in classes] == [(1, 0, 1, 0, 1), (2, 1, 3, 1, 5),
                                              (3, 3, 4, 5, 8)]
         assert cells.tolist() == [5, 3, 4, 6, 7, 0, 1, 2]
+
+
+def _stacked(*grids):
+    """The rows of several K-column grids, one under another, each grid's
+    symbols shifted past the previous ones: valid when each grid is."""
+    rows, offset = [], 0
+    for grid in grids:
+        grid = np.asarray(grid)
+        rows += [["*" if v == 0 else int(v) + offset for v in row]
+                 for row in grid]
+        offset += int(grid.max())
+    return rows
+
+
+def _diagonal(k, slots):
+    """A k x k grid of stars whose diagonal is split into ``slots`` runs,
+    run i holding symbol i + 1: ``slots`` slots of degree about k/slots."""
+    grid = np.zeros((k, k), dtype=np.int32)
+    grid[np.arange(k), np.arange(k)] = 1 + np.arange(k) * slots // k
+    return grid
+
+
+DEGENERATE = {
+    # n = 1: one take of all g = 12 terms
+    "one-slot": _stacked(_diagonal(12, 1)),
+    # g = 1 throughout: one take of n = 12 rows
+    "all-degree-1": _stacked(np.arange(1, 13).reshape(3, 4)),
+    # g = 5 > n = 2: takes of 3 then 2 term columns
+    "uneven-chunks": _stacked(_diagonal(10, 2)),
+    # one wide slot of degree 6 over narrow classes of degree 1, 2 and 3
+    "wide-and-narrow": _stacked(_diagonal(6, 1),
+                                np.arange(1, 13).reshape(2, 6),
+                                construct_mn(6, 1).grid,
+                                construct_mn(6, 2).grid),
+}
+
+
+class TestDegenerateClasses:
+    @pytest.mark.parametrize("size", [1, 3, 8, 256])
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_matches_naive_xor(self, name, size):
+        rows = DEGENERATE[name]
+        arr = PdaArray.from_rows(rows)
+        assert verify_pda(arr).valid
+        store = PacketStore.synthetic(arr.k, arr.f, size, seed=size)
+        demand = [1 + (3 * u) % arr.k for u in range(arr.k)]
+        files = [[p.tobytes() for p in file] for file in store.data]
+        want = naive_deliver(rows, files, demand)
+        log = deliver(arr, store, demand)
+        assert {t.symbol: t.payload for t in log.transmissions} == want
+        assert log.symbols.tolist() == sorted(want)
+        report = decode_and_verify(arr, store, demand, log)
+        assert report.success and report.problems == ()
+        for u, got in zip(report.users, naive_decode(rows, files, demand,
+                                                     want)):
+            assert u.ok and u.problems == ()
+            assert u.decoded_hash == u.expected_hash == (
+                hashlib.sha256(got).hexdigest())
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_tampered_slot_matches_naive_decode(self, size):
+        rows = DEGENERATE["wide-and-narrow"]
+        arr = PdaArray.from_rows(rows)
+        store = PacketStore.synthetic(arr.k, arr.f, size, seed=7)
+        demand = list(range(arr.k, 0, -1))
+        files = [[p.tobytes() for p in file] for file in store.data]
+        payloads = naive_deliver(rows, files, demand)
+        # symbol 1 is the wide slot: every user holds one of its terms
+        payloads[1] = bytes([payloads[1][0] ^ 1]) + payloads[1][1:]
+        log = TransmissionLog(
+            [Transmission(t.symbol, t.terms, payloads[t.symbol])
+             for t in deliver(arr, store, demand).transmissions], size)
+        report = decode_and_verify(arr, store, demand, log)
+        assert not report.success and report.problems == ()
+        for u, got in zip(report.users, naive_decode(rows, files, demand,
+                                                     payloads)):
+            assert not u.ok
+            assert u.decoded_hash == hashlib.sha256(got).hexdigest()
 
 
 class TestByteCap:
