@@ -35,25 +35,23 @@ def _write(target: str, text: str) -> None:
             fh.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose refusal of a choice (a subcommand name or a
+    choice option) quotes the text as a parse error does."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_quoted(value)} (choose from "
+                        f"{', '.join(map(repr, action.choices))})")
+
+
 def _common(sub: argparse.ArgumentParser, table: bool = False) -> None:
     sub.add_argument("--out", default="-",
                      help="output path, or - for stdout (default)")
     if table:
-        _choice(sub, "--format", ("text", "csv"), default="text",
-                help="table output format (default text)")
-
-
-def _choice(sub: argparse.ArgumentParser, flag: str, names, **kwargs):
-    """Add an option taking one of ``names``, shown as argparse shows
-    choices, whose refusal quotes the text as a parse error does."""
-    def choice(text: str) -> str:
-        if text not in names:
-            raise argparse.ArgumentTypeError(
-                f"invalid choice: {_quoted(text)} (choose from "
-                f"{', '.join(map(repr, names))})")
-        return text
-    sub.add_argument(flag, type=choice, metavar=f"{{{','.join(names)}}}",
-                     **kwargs)
+        sub.add_argument("--format", choices=("text", "csv"), default="text",
+                         help="table output format (default text)")
 
 
 # what int() refuses in this form, it refuses for its length
@@ -105,14 +103,15 @@ def _fraction(text: str) -> Fraction:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="pda",
         description="construct, verify, simulate and analyse placement "
                     "delivery arrays")
     subs = top.add_subparsers(dest="command", required=True)
 
     c = subs.add_parser("construct", help="generate an array from a family")
-    _choice(c, "--family", [f.value for f in Family], required=True)
+    c.add_argument("--family", choices=[f.value for f in Family],
+                   required=True)
     c.add_argument("--q", type=_int)
     c.add_argument("--z", type=_int)
     c.add_argument("--m", type=_int)
@@ -143,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("compare",
                         help="rate/packet ratios against a mixed baseline")
-    _choice(p, "--baseline", ("szg", "yctc"))
+    p.add_argument("--baseline", choices=("szg", "yctc"))
     p.add_argument("--q", type=_int)
     p.add_argument("--z", type=_int, default=None,
                    help="single z (default: sweep all z with w >= 2)")

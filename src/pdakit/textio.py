@@ -12,10 +12,14 @@ comments and skipped, and a trailing newline is required.  Example::
     1 *
 
 A header declaring more than ``CELL_CAP`` cells (F*K) raises
-``SizeCapError`` before the body is split.  The body is converted in numpy,
-a block of rows at a time; a block holding anything but well-formed tokens
-is read again token by token, and only that reader raises
-``PdaFormatError``, naming the line and token of the first fault.
+``SizeCapError`` before the body is read.  A plain body, exactly F
+newline-ended rows of ASCII tokens separated by spaces and tabs, is
+converted straight from its bytes in numpy, a block of rows at a time.
+Any other body (comments, blank lines, CR or CRLF line ends, other
+separators, non-ASCII text) or any fault sends the whole file to the line
+reader: its content lines go through the same converter a block at a
+time, a block it refuses is read token by token, and only that reader
+raises ``PdaFormatError``, naming the line and token of the first fault.
 
 The parser checks shape and token syntax only; cross-checking the declared
 Z and S against the cell contents is the verifier's job, so an invalid file
@@ -49,16 +53,9 @@ class PdaFormatError(ValueError):
 
 
 # body rows are converted and emitted in blocks of about this many cells,
-# which bounds the temporary arrays
+# which bounds the temporary arrays; converting a whole 1 MB body at once
+# was 2-3 times slower
 _BLOCK_CELLS = 1 << 16
-
-# byte classes of the body fast path; tokens are runs of the first two
-_DIGIT, _STAR, _SPACE, _NEWLINE, _OTHER = range(5)
-_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
-_BYTE_CLASS[ord("*")] = _STAR
-_BYTE_CLASS[[ord(" "), ord("\t")]] = _SPACE
-_BYTE_CLASS[ord("\n")] = _NEWLINE
 
 
 class PdaHeader(NamedTuple):
@@ -154,62 +151,114 @@ def parse_with_header(text: str) -> tuple[PdaArray, PdaHeader]:
     header = PdaHeader(k, f, z, s)
     _check_cap(f * k, CELL_CAP, f"header declares {{}} cells (F={f}, K={k})")
 
-    body = _content(rest + text[offset:].splitlines(), lineno + 1)
+    grid = np.empty((f, k), dtype=np.int32)
+    if rest or not _convert_bytes(text, offset, k, grid):
+        _read_lines(rest + text[offset:].splitlines(), lineno, k, grid)
+    return PdaArray._owned(grid), header
+
+
+def _blocks(f: int, k: int) -> range:
+    """First rows of the row blocks of about ``_BLOCK_CELLS`` cells."""
+    return range(0, f, max(1, _BLOCK_CELLS // k))
+
+
+def _ascii(text: str) -> np.ndarray:
+    """The bytes of ``text``, one per character: a character ASCII lacks
+    becomes ``?``, which the converter refuses."""
+    return np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+
+
+def _convert_bytes(text: str, offset: int, k: int, out: np.ndarray) -> bool:
+    """Convert the body, ``text[offset:]``, straight from its bytes, a
+    block of rows at a time.
+
+    Returns False, leaving ``out`` partly written, when the body is not
+    F newline-ended rows or the converter refuses a block of them.
+    """
+    raw = _ascii(text)[offset:]
+    ends = np.flatnonzero(raw == ord("\n")) + 1
+    f = len(out)
+    if len(ends) != f:
+        return False
+    blocks = _blocks(f, k)
+    for lo in blocks:
+        hi = min(lo + blocks.step, f)
+        first = ends[lo - 1] if lo else 0
+        if not _convert(raw[first:ends[hi - 1]], k, out[lo:hi]):
+            return False
+    return True
+
+
+def _read_lines(lines: list[str], lineno: int, k: int,
+                out: np.ndarray) -> None:
+    """The line reader, for the lines after the header on line ``lineno``:
+    their content lines are joined a block at a time for the converter,
+    and a block it refuses is read token by token, which names the first
+    fault."""
+    body = _content(lines, lineno + 1)
+    f = len(out)
     if len(body) != f:
         raise PdaFormatError(
             f"expected {f} data rows, found {len(body)}",
             body[-1][0] if body else lineno)
-
-    grid = np.empty((f, k), dtype=np.int32)
-    step = max(1, _BLOCK_CELLS // k)
-    for lo in range(0, f, step):
-        rows, out = body[lo:lo + step], grid[lo:lo + step]
-        if not _convert_rows(rows, k, out):
-            _convert_tokens(rows, k, out)
-    return PdaArray._owned(grid), header
+    blocks = _blocks(f, k)
+    for lo in blocks:
+        rows, block = body[lo:lo + blocks.step], out[lo:lo + blocks.step]
+        data = _ascii("\n".join([line for _, line in rows]) + "\n")
+        if not _convert(data, k, block):
+            _convert_tokens(rows, k, block)
 
 
-def _convert_rows(rows: list[tuple[int, str]], k: int,
-                  out: np.ndarray) -> bool:
-    """Convert body rows into ``out`` in numpy.
+def _convert(raw: np.ndarray, k: int, out: np.ndarray) -> bool:
+    """Convert the bytes of ``len(out)`` newline-ended rows into ``out``.
 
     Returns False, leaving ``out`` partly written, when any byte, row
-    length, token or value is outside the plain case; the per-token loop
-    then reads the rows again and names the first error, if there is one.
+    length, token or value is outside the plain case: tokens of ASCII
+    digits or a lone ``*``, separated by spaces and tabs, K to a row.
     """
-    try:
-        data = ("\n".join([line for _, line in rows]) + "\n").encode("ascii")
-    except UnicodeEncodeError:
+    # each byte's digit value: 0-9 for a digit, wrapped past 9 otherwise
+    value = raw - np.uint8(ord("0"))
+    digit = value < 10
+    star = raw == ord("*")
+    newline = raw == ord("\n")
+    token = digit | star
+    plain = token | newline
+    plain |= raw == ord(" ")
+    plain |= raw == ord("\t")
+    if not plain.all():
         return False
-    raw = np.frombuffer(data, dtype=np.uint8)
-    cls = _BYTE_CLASS.take(raw)
-    if cls.max() == _OTHER:
-        return False
-    # each token is a run of digit and star bytes; the text ends in "\n"
-    edges = np.flatnonzero(np.diff(cls <= _STAR, prepend=False))
-    starts, ends = edges[0::2], edges[1::2]
-    n = len(rows)
+    # each token is a run of digit and star bytes; the rows end in "\n"
+    edges = np.flatnonzero(np.diff(token, prepend=False))
+    starts, ends = edges[0::2].copy(), edges[1::2].copy()
+    n = len(out)
     if len(starts) != n * k:
         return False
     # tokens before each row's newline: k, 2k, ... when every row holds k
-    newlines = np.flatnonzero(cls == _NEWLINE)
-    if not np.array_equal(np.searchsorted(starts, newlines),
+    if not np.array_equal(np.searchsorted(starts, np.flatnonzero(newline)),
                           np.arange(k, (n + 1) * k, k)):
         return False
     length = ends - starts
-    star = raw[starts] == ord("*")
-    if (length[star] != 1).any() or \
-            np.count_nonzero(cls == _STAR) != np.count_nonzero(star):
-        return False
     width = int(length.max())
     if width > len(str(SYMBOL_MAX)):
         return False
-    values = np.zeros(len(starts), dtype=np.int64)
+    stars = raw.take(starts) == ord("*")
+    if np.count_nonzero(star) != np.count_nonzero(stars) or \
+            (stars & (length != 1)).any():
+        return False
+    # a token's value, right-aligned: its d-th digit from the end is the
+    # byte at ends - d, or once d passes its length the separator before
+    # it, which reads as 0; a lone star reads as 0, which is STAR.  Nine
+    # digits fit in int32; ten need int64 until the range check
+    value *= digit
+    dtype = np.int32 if width < len(str(SYMBOL_MAX)) else np.int64
+    values = np.zeros(len(starts), dtype=dtype)
+    terms = np.empty_like(values)
+    place, before = ends, starts - 1
     for d in range(width):
-        digit = np.take(raw, starts + d, mode="clip").astype(np.int64)
-        values = np.where(length > d, values * 10 + digit - ord("0"), values)
-    values[star] = STAR
-    if ((values < 1) & ~star).any() or values.max() > SYMBOL_MAX:
+        place -= 1
+        np.maximum(place, before, out=place)
+        values += np.multiply(value.take(place), dtype(10 ** d), out=terms)
+    if ((values < 1) & ~stars).any() or values.max() > SYMBOL_MAX:
         return False
     out[...] = values.reshape(n, k)
     return True
@@ -250,14 +299,15 @@ def emit(arr: PdaArray) -> str:
     # cell count, as in every PDA; otherwise each block gets a table of
     # the symbols it holds
     table = _symbol_table(np.arange(s + 1)) if s < grid.size else None
-    step = max(1, _BLOCK_CELLS // arr.k)
-    for lo in range(0, arr.f, step):
-        block = grid[lo:lo + step]
+    blocks = _blocks(arr.f, arr.k)
+    for lo in blocks:
+        block = grid[lo:lo + blocks.step]
         if table is None:
             symbols, index = np.unique(block, return_inverse=True)
-            cells = _symbol_table(symbols)[index.reshape(block.shape)]
+            cells = _symbol_table(symbols).take(index.reshape(block.shape),
+                                                axis=0)
         else:
-            cells = table[block]
+            cells = table.take(block, axis=0)
         cells[:, -1, -1] = ord("\n")
         parts.append(cells[cells != 0].tobytes().decode("ascii"))
     return "".join(parts)

@@ -1,15 +1,19 @@
 """Size limits: every refusal, its full message and its exit code."""
 
+import contextlib
+import io
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdakit
 from pdakit import (PacketStore, SizeCapError, _kernels, construct_general,
@@ -198,11 +202,15 @@ class TestBoundedEchoes:
         (["verify", "/" + "7" * 40],
          "error: [Errno 2] No such file or directory: "
          f"'/{SEVENS[:31]}'... (41 characters)"),
+        ([SEVENS],
+         f"pda: error: argument command: invalid choice: {QUOTED} (choose "
+         "from 'construct', 'verify', 'simulate', 'compare', 'enumerate')"),
     ], ids=["ratio-long-digits", "ratio-long-text", "ratio-no-slash",
             "ratio-long-zero", "k-long-digits", "k-long-text",
             "files-long-digits", "demand-long-text", "demand-long-digits",
             "lambda-long-text", "format-long-choice", "baseline-long-choice",
-            "family-long-choice", "verify-long-path", "verify-missing-path"])
+            "family-long-choice", "verify-long-path", "verify-missing-path",
+            "long-subcommand"])
     def test_long_text_is_quoted_with_its_length(self, capsys, argv,
                                                  message):
         code, last = usage_error(capsys, *argv)
@@ -212,7 +220,8 @@ class TestBoundedEchoes:
         ["compare", "--baseline", "szg", "--q", "20", "--t", "3",
          "--lambda", "x" * 5000],
         ["enumerate", "--table-iii", "--format", "x" * 5000],
-        ["verify", "x" * 5000]])
+        ["verify", "x" * 5000],
+        ["x" * 5000]])
     def test_long_echo_in_a_process_stays_short(self, argv):
         code, err, _ = run_limited(*argv)
         assert code == 2 and "Traceback" not in err
@@ -227,7 +236,10 @@ class TestBoundedEchoes:
          "pda enumerate: error: argument --format: invalid choice: 'tsv' "
          "(choose from 'text', 'csv')"),
         (["verify", "no-such.pda"],
-         "error: [Errno 2] No such file or directory: 'no-such.pda'")])
+         "error: [Errno 2] No such file or directory: 'no-such.pda'"),
+        (["verify2"],
+         "pda: error: argument command: invalid choice: 'verify2' (choose "
+         "from 'construct', 'verify', 'simulate', 'compare', 'enumerate')")])
     def test_short_text_keeps_its_message(self, capsys, argv, message):
         assert usage_error(capsys, *argv) == (2, message)
 
@@ -243,3 +255,39 @@ class TestBoundedEchoes:
             parse(f"{SEVENS} 1 0 1\n1\n")
         assert str(info.value) == f"line 1, token 1: K {QUOTED} has more " \
                                   "than 4300 digits"
+
+
+# -- fuzzed files: every edit of a fixture ends in a documented exit ---
+
+FIXTURE_BYTES = [path.read_bytes() for path in
+                 sorted((Path(__file__).parent / "fixtures").glob("*.pda"))]
+# a NUL, carriage returns, comment marks, non-ASCII text, separators,
+# tokens and 5000-digit runs
+EDIT_BYTES = (b"\x00", b"\r", b"\r\n", b"#", b"# c\n", "é".encode(),
+              b"\xff", b"\x0c", b"\t", b" ", b"\n", b"*", b"0", b"-", b"+",
+              b"x", b"7" * 5000, b"0" * 5000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIXTURE_BYTES),
+       st.lists(st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                          st.integers(0, 10**6), st.sampled_from(EDIT_BYTES)),
+                min_size=1, max_size=4))
+def test_verify_of_fuzzed_fixture_ends_in_an_exit_code(data, edits):
+    for kind, pos, piece in edits:
+        i = pos % (len(data) + 1)
+        if kind == "insert":
+            data = data[:i] + piece + data[i:]
+        elif kind == "delete":
+            data = data[:i] + data[i + len(piece):]
+        else:
+            data = data[:i] + piece + data[i + len(piece):]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.pda"
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["verify", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert len(err.getvalue().encode()) < 1024

@@ -6,15 +6,19 @@ So is the exit code of `pda verify` on the same bytes.  The digests were
 recorded before the numpy text codec replaced the per-token loop, so any
 change in what a file parses to, or in how an error is worded or placed,
 shows here.  A property test then checks the parser against the naive
-reference in `helpers.naive_parse` on random grids and random edits.
+reference in `helpers.naive_parse` on random grids and random edits, and
+another on files of several row blocks, edited in a block after the first.
 """
 
 import hashlib
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import fixture_text, naive_parse
-from pdakit import PdaArray, emit
+from pdakit import PdaArray, emit, textio
 from pdakit.cli import main
 from pdakit.core import SizeCapError
 from pdakit.textio import PdaFormatError, parse_with_header
@@ -212,3 +216,77 @@ def test_random_edits_match_reference(rows, edits):
         else:
             text = text[:i] + ch + text[i + 1:]
     assert reference_outcome(text) == naive_parse(text)
+
+
+# -- the byte path at its block edges ----------------------------------
+
+BLOCK = textio._BLOCK_CELLS
+# one fault for a body token; "" deletes the token, "1 1" adds one
+FAULTS = ("x", "0", "00", "1*", "*1", "**", "-3", "1.5", "", "1 1",
+          "12345678901")
+
+
+@st.composite
+def block_texts(draw, edit):
+    """A file of two or three row blocks, wide (K above the block size,
+    one row a block) or tall (several rows a block), with ``edit`` put in
+    place of one token of a block after the first."""
+    blocks = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        k = draw(st.integers(BLOCK + 1, BLOCK + 40))
+        step, f = 1, blocks
+    else:
+        k = draw(st.integers(1, 3))
+        step = BLOCK // k
+        f = (blocks - 1) * step + draw(st.integers(1, 40))
+    top = draw(st.sampled_from((2, 1000, 2**31 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.integers(0, top, size=(f, k), endpoint=True, dtype=np.int32)
+    lines = _lines(emit(PdaArray(grid)))
+    if edit == "fault":
+        edit = draw(st.sampled_from(FAULTS))
+    if edit is not None:
+        row = 1 + draw(st.integers(step, f - 1))
+        lines = _with_token(lines, row, draw(st.integers(0, k - 1)), edit)
+    return _join(lines)
+
+
+def _variants(text, draw):
+    """The same file with CRLF line ends, or with a comment line, a blank
+    line or leading tabs at a body line.  All but the tabs, which are
+    separators like any other, send it to the line reader."""
+    lines = _lines(text)
+    at = draw(st.integers(1, len(lines) - 1))
+    yield "crlf", text.replace("\n", "\r\n")
+    yield "comment", _join(lines[:at] + ["# note"] + lines[at:])
+    yield "blank", _join(lines[:at] + [""] + lines[at:])
+    yield "tabs", _join(lines[:at] + ["\t\t" + lines[at]] + lines[at + 1:])
+
+
+# 2^32 + 1 would read as 1 if its ten digits were summed in int32
+@pytest.mark.parametrize("edit", [None, "2147483647", "2147483648",
+                                  "4294967297", "fault"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_byte_path_blocks_match_reference(edit, data):
+    text = data.draw(block_texts(edit))
+    with mock.patch.object(textio, "_read_lines",
+                           wraps=textio._read_lines) as line_reader:
+        outcome = reference_outcome(text)
+    assert outcome == naive_parse(text)
+    # a plain body, faulty or not, is read from its bytes until a block
+    # fails; only then does the line reader name the fault
+    assert line_reader.called == (outcome[0] == "error")
+    if edit in (None, "2147483647"):
+        assert outcome[0] == "ok"
+    if edit in ("2147483648", "4294967297"):
+        assert outcome[0] == "error"
+    for name, variant in _variants(text, data.draw):
+        with mock.patch.object(textio, "_read_lines",
+                               wraps=textio._read_lines) as line_reader:
+            got = reference_outcome(variant)
+        assert line_reader.called == (name != "tabs" or got[0] == "error")
+        if name == "crlf":
+            assert got == outcome
+        elif outcome[0] == "ok":
+            assert got == outcome, name
