@@ -248,7 +248,8 @@ def _convert(raw: np.ndarray, k: int, out: np.ndarray) -> bool:
     # a token's value, right-aligned: its d-th digit from the end is the
     # byte at ends - d, or once d passes its length the separator before
     # it, which reads as 0; a lone star reads as 0, which is STAR.  Nine
-    # digits fit in int32; ten need int64 until the range check
+    # digits fit in int32; ten need int64 until the range check.  The
+    # multiply names its dtype: NumPy 1.x would pick a uint8 loop by value
     value *= digit
     dtype = np.int32 if width < len(str(SYMBOL_MAX)) else np.int64
     values = np.zeros(len(starts), dtype=dtype)
@@ -257,7 +258,8 @@ def _convert(raw: np.ndarray, k: int, out: np.ndarray) -> bool:
     for d in range(width):
         place -= 1
         np.maximum(place, before, out=place)
-        values += np.multiply(value.take(place), dtype(10 ** d), out=terms)
+        values += np.multiply(value.take(place), 10 ** d, out=terms,
+                              dtype=dtype)
     if ((values < 1) & ~stars).any() or values.max() > SYMBOL_MAX:
         return False
     out[...] = values.reshape(n, k)

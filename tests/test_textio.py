@@ -80,6 +80,17 @@ class TestParse:
     def test_largest_int32_symbol_parses(self):
         assert parse("1 1 0 1\n2147483647\n").to_rows() == [[2147483647]]
 
+    def test_values_at_each_width(self):
+        # each digit place is multiplied in the grid's width, never in
+        # the bytes' uint8 (300 would read as 44, 9*10^9 wrap below 2^31)
+        assert parse("4 1 0 1\n300 90000 999999999 1\n").to_rows() == \
+            [[300, 90000, 999999999, 1]]
+        assert parse("2 1 0 1\n1000000000 2147483647\n").to_rows() == \
+            [[1000000000, 2147483647]]
+        with pytest.raises(PdaFormatError, match="at most") as err:
+            parse("2 1 0 1\n2147483647 9000000000\n")
+        assert (err.value.line, err.value.column) == (2, 2)
+
     def test_wrong_row_count(self):
         with pytest.raises(PdaFormatError, match="data rows"):
             parse("2 3 1 1\n* 1\n1 *\n")
