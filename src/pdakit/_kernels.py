@@ -9,7 +9,10 @@ groups of one size together, in tiles of at most CHUNK_CELLS cells (whole
 blocks of several groups, or bands of one block when g^2 alone is too big),
 so its temporaries stay bounded.  A tile whose only non-stars are its
 diagonal cells holds no fault and costs one count; only a tile that fails
-that count lists its non-star entries.
+that count keys its non-star entries by pair.  One sort of those keys and a
+compare with each key's neighbour drop the pairs found twice, so the
+result is an array of one row per bad pair and no pair is ever a Python
+object.
 """
 
 import numpy as np
@@ -19,14 +22,15 @@ CHUNK_CELLS = 1 << 22
 
 
 def c3_pair_scan(grid, rows, cols, starts):
-    """List (j1, k1, j2, k2) for every same-symbol pair that breaks C3.
+    """The same-symbol pairs that break C3, as an (n, 2) int64 array.
 
     A pair is bad when one of the two cross cells (j1, k2), (j2, k1) of the
     rectangle it spans is not a star.  A pair sharing a row or a column has
     its own cells as cross cells, so it is always bad.  ``rows`` and
     ``cols`` hold the non-star cells grouped by symbol; ``starts`` bounds the
-    groups.  Pairs come by group, then by the position of the first cell in
-    its group, then of the second.  All indices are 0-based.
+    groups.  Row i of the result holds the indices e1 < e2 into ``rows`` and
+    ``cols`` of the two cells of bad pair i.  Pairs come by group, then by
+    the position of the first cell in its group, then of the second.
     """
     nnz = rows.shape[0]
     flat = grid.ravel()
@@ -58,8 +62,11 @@ def c3_pair_scan(grid, rows, cols, starts):
                     e1, e2 = e1[off], e2[off]
                     keys.append(np.minimum(e1, e2) * nnz + np.maximum(e1, e2))
     if not keys:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
+    keys = np.concatenate(keys)
+    keys.sort()
     # a pair with both cross cells non-star was found twice, once per cell
-    first, second = np.divmod(np.unique(np.concatenate(keys)), nnz)
-    return list(zip(rows[first].tolist(), cols[first].tolist(),
-                    rows[second].tolist(), cols[second].tolist()))
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    pairs = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, nnz, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs

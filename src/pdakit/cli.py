@@ -36,8 +36,15 @@ def _write(target: str, text: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, whose refusal of a choice (a subcommand name or a
-    choice option) quotes the text as a parse error does."""
+    """argparse's parser, whose refusals of a choice (a subcommand name or a
+    choice option) and of unrecognized arguments quote the text as a parse
+    error does."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {_quoted(' '.join(extras))}")
+        return args
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:

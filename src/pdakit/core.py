@@ -27,6 +27,11 @@ enumerate target; C3_WORK_CAP bounds the cross cells the C3 pair scan
 gathers.  simulate keeps its BYTE_CAP on packet bytes and passes it to the
 same check.  SYMBOL_MAX, the int32 bound on a symbol, is a format limit: a
 larger symbol is malformed input.
+
+One rule bounds every list a report makes, here and in the decoder's cache
+audit: a list names at most LISTED entries and closes with one entry that
+counts the rest exactly.  The C3 faults are one table of columns, one row
+per bad pair, that the verifier and the decoder both read.
 """
 
 from __future__ import annotations
@@ -43,8 +48,9 @@ from . import _kernels
 STAR = 0
 # symbols are stored as int32
 SYMBOL_MAX = int(np.iinfo(np.int32).max)
-# verify_pda names at most this many missing symbols, then counts the rest
-C2_LISTED = 1000
+# each list of a verify or decode report names at most this many entries,
+# then one closing entry counts the rest
+LISTED = 1000
 # the one cell limit (F*K) of construct and of the .pda parser
 CELL_CAP = 10_000_000
 # the most cross cells, sum of g^2 over symbols of g cells, the C3 pair
@@ -116,7 +122,8 @@ class PdaParams:
 
 @dataclass(frozen=True)
 class Violation:
-    condition: str  # "C1" | "C2" | "C3a" | "C3b"
+    # "C1" | "C2" | "C3a" | "C3b", or "C3" for the count closing the C3 list
+    condition: str
     locations: tuple[tuple[int, int], ...]  # 1-based (row, column) pairs
     detail: str
 
@@ -231,10 +238,10 @@ class _CellTable:
     ``rows`` and ``cols`` hold the cells sorted by (symbol, column, row),
     one ``_by_symbol`` sort on the place col * F + row; ``symbols`` holds
     the symbols present, ascending, and ``starts`` bounds each symbol's run
-    of cells; ``slot_of`` maps a cell to the index of its symbol, and
-    ``faults`` lists the pairs breaking C3; ``degree_classes`` groups the
-    slots by cell count.  The arrays are read-only; the last three are
-    built on first use.
+    of cells; ``slot_of`` maps a cell to the index of its symbol,
+    ``faults`` holds the pairs breaking C3 as columns, and
+    ``degree_classes`` groups the slots by cell count.  The arrays are
+    read-only; the last three are built on first use.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -290,27 +297,41 @@ class _CellTable:
 
     @cached_property
     def faults(self) -> tuple:
-        """(symbol, (j1, k1), (j2, k2), uncached) per pair breaking C3.
+        """The pairs breaking C3 as columns: (symbol, r1, c1, r2, c2,
+        uncached), one row per pair.
 
         Pairs come in the table's order: by symbol, then by the (column,
-        row) of the first cell, then of the second.  ``uncached`` lists the
-        cross cells (j1, k2) and (j2, k1) that are not stars, in that order.
-        A star at (j1, k2) is user k2 caching the packet of the term at
-        (j1, k1), so one list serves the verifier and the decoder's cache
-        audit.  All indices are 0-based.  The scan gathers the g x g cross
-        cells of each symbol of g cells; their sum is held to C3_WORK_CAP.
+        row) of the first cell (r1, c1), then of the second (r2, c2).
+        ``uncached`` is an (n, 2) bool array that flags the cross cells
+        (r1, c2) and (r2, c1), in that order, that are not stars.  A star
+        at (r1, c2) is user c2 caching the packet of the term at (r1, c1),
+        so one table serves the verifier and the decoder's cache audit.
+        All indices are 0-based and the arrays are read-only.  The scan
+        gathers the g x g cross cells of each symbol of g cells; their sum
+        is held to C3_WORK_CAP.
         """
         g = np.diff(self.starts).astype(np.uint64)
         # exact: the sum is below (cells)^2 < 2^64
         _check_cap(int(g @ g), C3_WORK_CAP,
                    "the C3 pair scan would gather {} cross-cell entries")
         grid = self.grid
-        return tuple(
-            (int(grid[r1, c1]), (r1, c1), (r2, c2),
-             tuple(cell for cell in ((r1, c2), (r2, c1))
-                   if grid[cell] != STAR))
-            for r1, c1, r2, c2 in _kernels.c3_pair_scan(
-                grid, self.rows, self.cols, self.starts))
+        pairs = _kernels.c3_pair_scan(grid, self.rows, self.cols, self.starts)
+        r1, r2 = self.rows[pairs.T]
+        c1, c2 = self.cols[pairs.T]
+        del pairs
+        uncached = np.stack((grid[r1, c2], grid[r2, c1]), axis=1) != STAR
+        faults = (grid[r1, c1], r1, c1, r2, c2, uncached)
+        for a in faults:
+            a.flags.writeable = False
+        return faults
+
+    def fault_rows(self, index):
+        """The faults at ``index`` (a slice, or a list of rows) as Python
+        tuples (symbol, r1, c1, r2, c2, u1, u2): u1 and u2 are the
+        ``uncached`` flags of the cross cells (r1, c2) and (r2, c1)."""
+        sym, r1, c1, r2, c2, uncached = self.faults
+        columns = (sym, r1, c1, r2, c2, uncached[:, 0], uncached[:, 1])
+        return zip(*(a[index].tolist() for a in columns))
 
 
 def _cell_table(arr: PdaArray) -> _CellTable:
@@ -328,6 +349,14 @@ def _missing_symbols(present: np.ndarray, s_ref: int):
     yield from range(int(bounds[-1]) + 1, s_ref + 1)
 
 
+def _close(violations: list, condition: str, total: int, what: str) -> None:
+    """Close a list of ``total`` entries that names the first LISTED: one
+    violation counts the rest, "<n> more " then ``what``."""
+    if total > LISTED:
+        violations.append(Violation(condition, (),
+                                    f"{total - LISTED} more {what}"))
+
+
 def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
                declared_s: int | None = None) -> VerificationReport:
     """Check C1-C3 and report every violation, not just the first.
@@ -335,12 +364,18 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
     ``declared_z`` / ``declared_s`` let a caller (e.g. the file verifier)
     check against header-declared values instead of counted ones; left to
     None, Z is the most common column star count and S the largest symbol
-    present.  C2 names at most C2_LISTED missing symbols, then one
-    "<n> more symbols never occur" holds the exact count of the rest, so a
-    huge declared S stays cheap.  The C3 pass gathers, for each symbol of
-    g cells, the g x g block of its cross cells: sum over symbols of g^2
-    cells, in bounded chunks, never (F*K)^2.  Above C3_WORK_CAP such
-    cells it raises SizeCapError before gathering any.
+    present.  The report holds four lists: the C1 columns, the C2 missing
+    symbols, the C2 symbols above S and the C3 pairs.  Each names at most
+    LISTED entries, in that order (columns and symbols ascending, C3 pairs
+    by condition, then locations), and closes with one violation that
+    holds the exact count of the rest, so a huge declared S or a grid of
+    many bad pairs stays cheap to report.  The C3 pairs are the cell
+    table's fault columns; the listed ones are picked by one partition of
+    a packed key per condition, not a sort of every pair.  The C3 pass
+    gathers, for each symbol of g cells, the g x g block of its cross
+    cells: sum over symbols of g^2 cells, in bounded chunks, never
+    (F*K)^2.  Above C3_WORK_CAP such cells it raises SizeCapError before
+    gathering any.
     """
     grid = arr.grid
     violations: list[Violation] = []
@@ -351,11 +386,13 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
         z_ref = declared_z
     else:
         z_ref = int(np.bincount(star_counts).argmax())
-    for k in np.flatnonzero(star_counts != z_ref):
+    bad = np.flatnonzero(star_counts != z_ref)
+    for k in bad[:LISTED].tolist():
         violations.append(Violation(
             "C1", (),
             f"column {k + 1} has {int(star_counts[k])} stars, expected Z={z_ref}",
         ))
+    _close(violations, "C1", bad.size, f"columns do not have Z={z_ref} stars")
 
     # C2: symbols present are exactly 1..S
     table = _cell_table(arr)
@@ -368,35 +405,61 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
         n_in = (uniq.size if s_ref >= int(uniq[-1])
                 else int(np.searchsorted(uniq, s_ref, side="right")))
         missing = _missing_symbols(uniq[:n_in], s_ref)
-        for s in itertools.islice(missing, C2_LISTED):
+        for s in itertools.islice(missing, LISTED):
             violations.append(Violation("C2", (), f"symbol {s} never occurs"))
-        if s_ref - n_in > C2_LISTED:
-            violations.append(Violation(
-                "C2", (), f"{s_ref - n_in - C2_LISTED} more symbols never occur"))
-        # symbols above S own the tail of the sorted cells; list them row-major
+        _close(violations, "C2", s_ref - n_in, "symbols never occur")
+        # symbols above S own the tail of the sorted cells; list the cells
+        # of the first LISTED of them row-major
+        top = min(n_in + LISTED, uniq.size)
         lo = int(starts[n_in])
-        r, c = table.rows[lo:], table.cols[lo:]
+        r, c = table.rows[lo:starts[top]], table.cols[lo:starts[top]]
         r, c = np.divmod(_by_symbol(grid[r, c], r * arr.k + c)[0], arr.k)
         r, c = (r + 1).tolist(), (c + 1).tolist()
-        ends = (starts[n_in:] - lo).tolist()
-        for s, a, b in zip(uniq[n_in:].tolist(), ends, ends[1:]):
+        ends = (starts[n_in:top + 1] - lo).tolist()
+        for s, a, b in zip(uniq[n_in:top].tolist(), ends, ends[1:]):
             violations.append(Violation("C2", tuple(zip(r[a:b], c[a:b])),
                                         f"symbol {s} exceeds S={s_ref}"))
+        _close(violations, "C2", uniq.size - n_in, f"symbols exceed S={s_ref}")
 
-    # C3: same-symbol pair scan
-    c3 = []
-    for s, (r1, c1), (r2, c2), uncached in table.faults:
-        loc = ((r1 + 1, c1 + 1), (r2 + 1, c2 + 1))
-        if r1 == r2 or c1 == c2:
-            axis = "row" if r1 == r2 else "column"
-            n = (r1 if r1 == r2 else c1) + 1
-            c3.append(Violation("C3a", loc, f"symbol {s} repeats in {axis} {n}"))
+    # C3: the first LISTED of the cell table's faults, by (condition,
+    # locations); a key packs a pair's two cells, row-major, in 32 bits each
+    r1, c1, r2, c2 = table.faults[1:5]
+    key, second = r1 * arr.k, r2 * arr.k
+    key += c1
+    second += c2
+    key, second = key.view(np.uint64), second.view(np.uint64)
+    key <<= np.uint64(32)
+    key |= second
+    del second
+    c3a = (r1 == r2) | (c1 == c2)
+    listed, rest = [], []
+    for bad in (c3a, ~c3a):
+        room = LISTED - len(listed)
+        n = np.count_nonzero(bad)
+        if n > room:
+            # keys are distinct: the condition's room smallest lie below its
+            # (room + 1)-th smallest
+            part = key[bad]
+            part.partition(room)
+            bad &= key < part[room]
+            del part
+        pick = np.flatnonzero(bad)
+        listed += pick[np.argsort(key[pick])].tolist()
+        rest.append(n - pick.size)
+    for s, j1, k1, j2, k2, u1, u2 in table.fault_rows(listed):
+        loc = ((j1 + 1, k1 + 1), (j2 + 1, k2 + 1))
+        if j1 == j2 or k1 == k2:
+            axis = "row" if j1 == j2 else "column"
+            n = (j1 if j1 == j2 else k1) + 1
+            violations.append(Violation(
+                "C3a", loc, f"symbol {s} repeats in {axis} {n}"))
         else:
-            missing = ", ".join(f"({r + 1},{c + 1})" for r, c in uncached)
-            c3.append(Violation(
+            missing = ", ".join(f"({r + 1},{c + 1})" for (r, c), u in
+                                (((j1, k2), u1), ((j2, k1), u2)) if u)
+            violations.append(Violation(
                 "C3b", loc, f"symbol {s}: cross cell(s) {missing} not a star"))
-    c3.sort(key=lambda v: (v.condition, v.locations))
-    violations.extend(c3)
+    _close(violations, "C3", r1.size,
+           f"pairs break C3: {rest[0]} C3a, {rest[1]} C3b")
     return VerificationReport(tuple(violations))
 
 

@@ -49,6 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import core
 from .core import PdaArray, _cell_table, _check_cap
 
 DEFAULT_PACKET_SIZE = 64
@@ -281,15 +282,19 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
 
     The log is read in order and must hold one slot per symbol, ascending,
     with this array's terms.  Cache membership of every cancellation term is
-    audited with the C3 classifier the verifier uses: a same-symbol pair
+    audited with the C3 fault columns the verifier reads: a same-symbol pair
     whose cross cell is not a star is exactly a packet some decoder would
-    need but does not hold.  Once every term is cached, the packet decoded
-    at term c of slot s is p_s XOR (the other terms) = W_c XOR rest_s, where
-    rest_s = p_s XOR (all terms of s).  So every packet of slot s decodes
-    exactly iff rest_s is zero, and a user fails iff one of its cells lies
-    in a slot with non-zero rest.  Only a failing user's file is put
-    together, for its hash: the stored file with each of the user's rows
-    XORed by its slot's rest_s.  The store hashes each demanded file once.
+    need but does not hold.  The notes of the first core.LISTED bad pairs
+    are named, in the table's order, and each user with notes from the
+    rest gets one closing "<n> more cache problems" that counts them
+    exactly; no user's ``ok`` depends on that bound.  Once every term is
+    cached, the packet decoded at term c of slot s is p_s XOR (the other
+    terms) = W_c XOR rest_s, where rest_s = p_s XOR (all terms of s).  So
+    every packet of slot s decodes exactly iff rest_s is zero, and a user
+    fails iff one of its cells lies in a slot with non-zero rest.  Only a
+    failing user's file is put together, for its hash: the stored file
+    with each of the user's rows XORed by its slot's rest_s.  The store
+    hashes each demanded file once.
     """
     d, table, totals = _prepare(arr, store, demand)
     rows, cols, symbols = table.rows, table.cols, table.symbols
@@ -316,23 +321,39 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
                                    f"{symbols[bad.argmax()]} "
                                    "does not match the array")
 
-    # cache-membership audit: every cancellation term must be held
-    for s, (r1, c1), (r2, c2), uncached in table.faults:
-        if c1 == c2:
-            user_problems[c1].append(
-                f"symbol {s} occurs twice in column {c1 + 1} "
-                f"(rows {r1 + 1}, {r2 + 1}): own packets collide")
+    # cache-membership audit: every cancellation term must be held.  The
+    # first LISTED bad pairs are named; each user gets one closing count of
+    # its notes from the rest
+    listed = core.LISTED
+    for s, j1, k1, j2, k2, u1, u2 in table.fault_rows(slice(listed)):
+        if k1 == k2:
+            user_problems[k1].append(
+                f"symbol {s} occurs twice in column {k1 + 1} "
+                f"(rows {j1 + 1}, {j2 + 1}): own packets collide")
             continue
         # user c lacks the packet of the pair's other term in row r
-        for r, c in uncached:
-            if r1 == r2:
+        for (r, c), u in (((j1, k2), u1), ((j2, k1), u2)):
+            if not u:
+                continue
+            if j1 == j2:
                 why = (f"shares row {r + 1} with user {c + 1}'s own term: "
                        "not cached")
             else:
                 why = f"is not cached: cell ({r + 1},{c + 1}) is not a star"
             user_problems[c].append(
-                f"packet (file {d[c1 if c == c2 else c2]}, row {r + 1}) "
+                f"packet (file {d[k1 if c == k2 else k2]}, row {r + 1}) "
                 f"needed for symbol {s} {why}")
+    _, _, c1, _, c2, uncached = table.faults
+    if c1.size > listed:
+        # a pair within one column is one note for its user, any other
+        # pair one note for the user of each uncached cross cell
+        own = c1[listed:] == c2[listed:]
+        more = np.bincount(c1[listed:][own], minlength=arr.k)
+        for col, flag in ((c2, uncached[:, 0]), (c1, uncached[:, 1])):
+            more += np.bincount(col[listed:][~own & flag[listed:]],
+                                minlength=arr.k)
+        for u in np.flatnonzero(more).tolist():
+            user_problems[u].append(f"{more[u]} more cache problems")
 
     decodable = not global_problems
     wrong: set[int] = set()

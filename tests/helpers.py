@@ -65,22 +65,24 @@ def naive_c2(rows, declared_s=None):
 
 
 def reference_pair_scan(grid, rows, cols, starts):
-    """(j1, k1, j2, k2) per same-symbol pair breaking C3, from every pair.
+    """The table indices (e1, e2) of each same-symbol pair breaking C3, as
+    an (n, 2) int64 array, from every pair.
 
     All intra-group pairs are materialised in one shot: element e of a
     group ending at ``end`` pairs, as the first member, with the
-    ``end - e - 1`` elements after it.  Inputs and output order are those
-    of ``pdakit._kernels.c3_pair_scan``.
+    ``end - e - 1`` elements after it.  Inputs, output form and order are
+    those of ``pdakit._kernels.c3_pair_scan``.
     """
     nnz = rows.shape[0]
+    none = np.empty((0, 2), dtype=np.int64)
     if nnz == 0:
-        return []
+        return none
     counts = np.diff(starts)
     ends = np.repeat(starts[1:], counts)
     rem = ends - np.arange(nnz) - 1
     total = int(rem.sum())
     if total == 0:
-        return []
+        return none
     first = np.repeat(np.arange(nnz), rem)
     before = np.concatenate(([0], np.cumsum(rem)[:-1]))
     second = first + (np.arange(total) - before[first]) + 1
@@ -88,8 +90,7 @@ def reference_pair_scan(grid, rows, cols, starts):
     r1, c1 = rows[first], cols[first]
     r2, c2 = rows[second], cols[second]
     bad = np.flatnonzero((grid[r1, c2] != 0) | (grid[r2, c1] != 0))
-    return list(zip(r1[bad].tolist(), c1[bad].tolist(),
-                    r2[bad].tolist(), c2[bad].tolist()))
+    return np.stack((first[bad], second[bad]), axis=1).astype(np.int64)
 
 
 def naive_equivalent(ga, gb) -> bool:
@@ -230,3 +231,20 @@ def naive_parse(text: str):
             row.append(value)
         rows.append(row)
     return ("ok", tuple(header), rows)
+
+
+def c3_heavy_text() -> str:
+    """A 2500 x 40 .pda file with 2.01e7 same-symbol pairs that break C3.
+
+    Cell (r, c), 0-based, is ``*`` where (7r + 3c) mod 5 = 0 and otherwise
+    1 + (131r + 977c) mod 10^(1 + (r + c) mod 6).  Every column holds 500
+    stars and the header declares the largest symbol present, so the file
+    breaks C2 (gaps) and C3 only; its sum of g^2 is about 4.0e7, under the
+    C3 work cap.
+    """
+    r, c = np.ogrid[:2500, :40]
+    grid = 1 + (131 * r + 977 * c) % 10 ** (1 + (r + c) % 6)
+    grid[(7 * r + 3 * c) % 5 == 0] = 0
+    body = "\n".join(" ".join("*" if v == 0 else str(v) for v in row)
+                     for row in grid.tolist())
+    return f"40 2500 500 {grid.max()}\n{body}\n"

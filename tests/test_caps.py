@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdakit
+from helpers import c3_heavy_text
 from pdakit import (PacketStore, SizeCapError, _kernels, construct_general,
                     construct_mn, decode_and_verify, deliver,
                     enumerate_schemes, parse, simulate, verify_pda)
@@ -69,7 +70,7 @@ def test_refusal_text(monkeypatch, refuse, message):
 
 def run_limited(*argv, timeout=60):
     """Run ``pda`` as a child process under a 2 GiB address-space limit,
-    set on the child only: (exit code, stderr, seconds)."""
+    set on the child only: (exit code, stdout, stderr, seconds)."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
     env = dict(os.environ, PYTHONPATH=str(Path(pdakit.__file__).parents[1]))
@@ -77,7 +78,8 @@ def run_limited(*argv, timeout=60):
     proc = subprocess.run([sys.executable, "-m", "pdakit.cli", *argv],
                           capture_output=True, text=True, env=env,
                           preexec_fn=limit, timeout=timeout)
-    return proc.returncode, proc.stderr, time.perf_counter() - start
+    return (proc.returncode, proc.stdout, proc.stderr,
+            time.perf_counter() - start)
 
 
 class TestC3WorkCap:
@@ -114,11 +116,23 @@ class TestC3WorkCap:
         # one symbol of 2*10^5 cells: 4*10^10 cross cells
         path = tmp_path / "ones.pda"
         path.write_text("200 1000 0 1\n" + ("1 " * 199 + "1\n") * 1000)
-        code, err, seconds = run_limited("verify", str(path))
+        code, _, err, seconds = run_limited("verify", str(path))
         assert (code, err) == (3, (
             "too large: the C3 pair scan would gather 40000000000 "
             "cross-cell entries, above the cap of 1073741824\n"))
         assert seconds < 5
+
+
+    def test_c3_heavy_file_exits_1_in_seconds(self, tmp_path):
+        # 2.01e7 bad pairs under the work cap: the report lists 1000 of
+        # them and counts the rest
+        path = tmp_path / "heavy.pda"
+        path.write_text(c3_heavy_text())
+        code, out, err, seconds = run_limited("verify", str(path))
+        assert code == 1 and "Traceback" not in err
+        assert len(out.encode()) < 200 << 10
+        assert out.splitlines()[-1] == (
+            "  C3 20125848 more pairs break C3: 612995 C3a, 19512853 C3b")
 
 
 class TestUserCountCap:
@@ -151,6 +165,7 @@ def usage_error(capsys, *argv):
 
 
 SEVENS = "7" * 5000
+EXES = "x" * 5000
 FIXTURE = str(Path(__file__).parent / "fixtures" / "mn_k4_t2.pda")
 QUOTED = f"'{SEVENS[:32]}'... (5000 characters)"
 
@@ -205,12 +220,18 @@ class TestBoundedEchoes:
         ([SEVENS],
          f"pda: error: argument command: invalid choice: {QUOTED} (choose "
          "from 'construct', 'verify', 'simulate', 'compare', 'enumerate')"),
+        (["verify", FIXTURE, EXES],
+         f"pda: error: unrecognized arguments: '{EXES[:32]}'... (5000 "
+         "characters)"),
+        (["verify", FIXTURE, "--" + EXES],
+         f"pda: error: unrecognized arguments: '--{EXES[:30]}'... (5002 "
+         "characters)"),
     ], ids=["ratio-long-digits", "ratio-long-text", "ratio-no-slash",
             "ratio-long-zero", "k-long-digits", "k-long-text",
             "files-long-digits", "demand-long-text", "demand-long-digits",
             "lambda-long-text", "format-long-choice", "baseline-long-choice",
             "family-long-choice", "verify-long-path", "verify-missing-path",
-            "long-subcommand"])
+            "long-subcommand", "long-extra-argument", "long-extra-option"])
     def test_long_text_is_quoted_with_its_length(self, capsys, argv,
                                                  message):
         code, last = usage_error(capsys, *argv)
@@ -221,9 +242,11 @@ class TestBoundedEchoes:
          "--lambda", "x" * 5000],
         ["enumerate", "--table-iii", "--format", "x" * 5000],
         ["verify", "x" * 5000],
-        ["x" * 5000]])
+        ["x" * 5000],
+        ["verify", FIXTURE, EXES],
+        ["verify", FIXTURE, "--" + EXES]])
     def test_long_echo_in_a_process_stays_short(self, argv):
-        code, err, _ = run_limited(*argv)
+        code, _, err, _ = run_limited(*argv)
         assert code == 2 and "Traceback" not in err
         assert len(err.encode()) < 1024
 
@@ -242,6 +265,10 @@ class TestBoundedEchoes:
          "from 'construct', 'verify', 'simulate', 'compare', 'enumerate')")])
     def test_short_text_keeps_its_message(self, capsys, argv, message):
         assert usage_error(capsys, *argv) == (2, message)
+
+    def test_short_extra_arguments_are_quoted_whole(self, capsys):
+        assert usage_error(capsys, "verify", FIXTURE, "x", "--y") == (
+            2, "pda: error: unrecognized arguments: 'x --y'")
 
     @pytest.mark.parametrize("text", ["x", "1.5", "+-5", " ", "1 2"])
     def test_short_int_text_keeps_argparse_message(self, capsys, text):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import fixture_text, naive_check
+from helpers import fixture_text, naive_check, reference_pair_scan
 from pdakit import (PacketStore, PdaArray, PdaError, PdaParams, _kernels,
                     canonicalize, construct_ext_general, construct_mn,
                     deliver, equivalent, params_of, parse, verify_pda)
@@ -116,7 +116,12 @@ class TestPairScan:
         scan = lambda: _kernels.c3_pair_scan(grid, rows, cols, starts)
         scan()  # numpy's lazy imports are not the scan's memory
         pairs, peak = _peak(scan)
-        assert pairs == [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)]
+        expected = reference_pair_scan(grid, rows, cols, starts)
+        assert pairs.dtype == expected.dtype == np.int64
+        assert np.array_equal(pairs, expected)
+        cells = np.stack((rows[pairs[:, 0]], cols[pairs[:, 0]],
+                          rows[pairs[:, 1]], cols[pairs[:, 1]]), axis=1)
+        assert cells.tolist() == [[0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1]]
         # listing all 500,500 pairs of the group would take over 20 MB
         assert peak < 1 << 20
 

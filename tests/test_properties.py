@@ -9,10 +9,10 @@ from helpers import (naive_c2, naive_check, naive_equivalent,
                      reference_pair_scan)
 from pdakit import (STAR, ConstructionParams, PacketStore, PdaArray,
                     Transmission, TransmissionLog, _kernels, canonicalize,
-                    construct, decode_and_verify, deliver, emit, equivalent,
-                    params_of, parse, run_simulation, standard_sweep,
-                    theorem_params, verify_pda)
-from pdakit.core import _CellTable
+                    construct, core, decode_and_verify, deliver, emit,
+                    equivalent, params_of, parse, run_simulation,
+                    standard_sweep, theorem_params, verify_pda)
+from pdakit.core import Violation, _CellTable
 
 small_grids = st.integers(1, 5).flatmap(
     lambda f: st.integers(1, 5).flatmap(
@@ -61,7 +61,91 @@ def test_pair_scan_matches_reference(grid, chunk):
     assert np.array_equal(np.lexsort((rows, cols, vals)), np.arange(vals.size))
     with mock.patch.object(_kernels, "CHUNK_CELLS", chunk):
         got = _kernels.c3_pair_scan(grid, rows, cols, starts)
-    assert got == reference_pair_scan(grid, rows, cols, starts)
+    expected = reference_pair_scan(grid, rows, cols, starts)
+    assert got.dtype == expected.dtype == np.int64
+    assert np.array_equal(got, expected)
+
+
+def report_lists(report):
+    """A verify report's C1, C2-missing, C2-above-S and C3 lists, in
+    report order, each split into its entries and its closing entries."""
+    lists = {name: ([], []) for name in ("C1", "missing", "above", "C3")}
+    for v in report.violations:
+        name = v.condition[:2]
+        if name == "C2":
+            name = "above" if "exceed" in v.detail else "missing"
+        lists[name][" more " in v.detail].append(v)
+    return lists
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_grids(), st.integers(0, 8), st.integers(0, 9),
+       st.sampled_from([1, 2, 5]))
+def test_verify_lists_follow_the_listing_rule(grid, z, s, listed):
+    # each list names its first LISTED entries and counts the rest exactly
+    arr = PdaArray(grid)
+    full = report_lists(verify_pda(arr, declared_z=z, declared_s=s))
+    with mock.patch.object(core, "LISTED", listed):
+        capped = verify_pda(arr, declared_z=z, declared_s=s)
+    t = _CellTable(grid)
+    pairs = reference_pair_scan(grid, t.rows, t.cols, t.starts)
+    r, c = t.rows[pairs], t.cols[pairs]
+    c3a = int(np.count_nonzero((r[:, 0] == r[:, 1]) | (c[:, 0] == c[:, 1])))
+    c2 = [detail for _, detail in naive_c2(arr.to_rows(), s)]
+    totals = {
+        "C1": int(np.count_nonzero((grid == 0).sum(axis=0) != z)),
+        "missing": sum("never occurs" in d for d in c2),
+        "above": sum("exceeds" in d for d in c2),
+        "C3": len(pairs),
+    }
+    expected = []
+    for name, (entries, closing) in full.items():
+        assert (len(entries), closing) == (totals[name], [])
+        expected += entries[:listed]
+        rest = len(entries) - listed
+        if rest <= 0:
+            continue
+        if name == "C3":
+            rest_a = c3a - sum(v.condition == "C3a" for v in entries[:listed])
+            expected.append(Violation(
+                "C3", (), f"{rest} more pairs break C3: {rest_a} C3a, "
+                          f"{rest - rest_a} C3b"))
+        else:
+            condition, text = {
+                "C1": ("C1", f"{rest} more columns do not have Z={z} stars"),
+                "missing": ("C2", f"{rest} more symbols never occur"),
+                "above": ("C2", f"{rest} more symbols exceed S={s}"),
+            }[name]
+            expected.append(Violation(condition, (), text))
+    assert capped.violations == tuple(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_grids(), st.sampled_from([1, 2, 5]), st.integers(0, 2**31 - 1))
+def test_decode_audit_follows_the_listing_rule(grid, listed, seed):
+    # the notes of the first LISTED bad pairs, then one exact count per user
+    arr = PdaArray(grid)
+    store = PacketStore.synthetic(2, arr.f, 4, seed=0)
+    demand = np.random.default_rng(seed).integers(1, 3, size=arr.k).tolist()
+    log = deliver(arr, store, demand)
+    full = decode_and_verify(arr, store, demand, log)
+    with mock.patch.object(core, "LISTED", listed):
+        capped = decode_and_verify(arr, store, demand, log)
+    assert capped.success == full.success
+    named = 0
+    for a, b in zip(full.users, capped.users, strict=True):
+        assert b.ok == a.ok
+        closing = " more cache problems"
+        notes = [p for p in b.problems if not p.endswith(closing)]
+        more = [int(p.split()[0]) for p in b.problems[len(notes):]]
+        assert b.problems == tuple(notes) + tuple(f"{n}{closing}"
+                                                  for n in more)
+        assert notes == list(a.problems[:len(notes)])
+        assert len(more) <= 1 and all(n > 0 for n in more)
+        assert len(notes) + sum(more) == len(a.problems)
+        named += len(notes)
+    # a bad pair makes at most two notes
+    assert named <= 2 * listed
 
 
 @given(small_grids)
