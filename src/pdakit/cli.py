@@ -182,11 +182,17 @@ def _cmd_construct(args) -> int:
         if args.k is None or args.t is None:
             print("construct: mn needs --k and --t", file=sys.stderr)
             return EXIT_USAGE
+        if (args.q, args.z, args.m) != (None, None, None):
+            print("construct: mn takes no --q, --z or --m", file=sys.stderr)
+            return EXIT_USAGE
         arr = constructions.construct_mn(args.k, args.t)
     else:
         if args.q is None or args.z is None or args.m is None:
             print("construct: vector families need --q, --z and --m",
                   file=sys.stderr)
+            return EXIT_USAGE
+        if args.k is not None:
+            print("construct: vector families take no --k", file=sys.stderr)
             return EXIT_USAGE
         p = ConstructionParams(args.q, args.z, args.m,
                                1 if args.t is None else args.t)

@@ -21,16 +21,26 @@ and e_i in [0, w); columns are (b_0..b_{t-1}, d_0 < .. < d_{t-1} < m) with
 b_i in Z_q.  Cell (a, b) is a star when some a_{d_i} lies in the window
 {b_i, b_i - 1, .., b_i - (z-1)} mod q; otherwise its symbol is the vector a
 with coordinate d_i replaced by b_i - e_i (q-z) and t trailing digits
-a_{d_i} - b_i - 1 (all mod q), encoded as a mixed-radix integer.  The "ext"
-variants move the e digits from the row index to the column index, shrinking
-F to q^m at the price of rate.  The "special" variants fix t = 1 and append a
-closing block of q columns keyed by the row digit sum
-u = (sum(a) - e_0 (q-z)) mod q, with e_0 = 0 for ext-special.  Enumeration
-orders (rows: e outermost then a, first digit fastest; columns: d outermost,
-then e, then b) are fixed so a given tuple always yields the identical
-array.  construct builds the row digits (a, e) and the column digits
-(delta, e, b) as integer tables once each and evaluates the cell rule over
-the row x column digit tables by broadcasting, one pass per digit position.
+a_{d_i} - b_i - 1 (all mod q), encoded as a mixed-radix integer: the m
+digits of a in base q, most significant first, then the trailing digits in
+base q-z, plus 1.  The "ext" variants move the e digits from the row index
+to the column index, shrinking F to q^m at the price of rate.  The
+"special" variants fix t = 1 and append a closing block of q columns
+b = 0..q-1 keyed by the row digit sum u = (sum(a) - e_0 (q-z)) mod q, with
+e_0 = 0 for ext-special: its cell is a star when u lies in
+{b, b + 1, .., b + (z-1)} mod q, otherwise the vector a itself with the
+trailing digit b - u - 1 mod q.  Enumeration orders (rows: e outermost then
+a, first digit fastest; columns: d outermost, then e, then b, first digit
+fastest) are fixed so a given tuple always yields the identical array.
+
+Columns run delta-outermost, so within each of the C(m,t) delta blocks the
+positions d_i are fixed, and a cell of the vector block is
+base(row) + V[delta, key(row, delta), column], where base is the
+mixed-radix value of a alone and the key packs the t digits a_{d_i} (with
+e_i where the row holds it).  construct fills the lookup table V, INT32_MIN
+wherever a position stars, in one broadcast pass per digit position, then
+gathers the F x K0 block from it with one take over the rows' keys, adds
+base and clamps the stars to 0.  The closing block is one np.where.
 construct_general, construct_special, construct_ext_general and
 construct_ext_special are shorthands for construct.  Every constructor
 refuses an array above CELL_CAP cells, the limit the .pda parser applies.
@@ -57,6 +67,8 @@ import numpy as np
 from .core import CELL_CAP, _UNPRINTABLE, PdaArray, PdaParams, _check_cap
 
 _CELLS = "array would hold {} cells"
+# cells per row block of construct_mn
+_BLOCK_CELLS = 1 << 16
 
 
 class ParamDomainError(ValueError):
@@ -188,33 +200,46 @@ def construct(family: Family, p: ConstructionParams) -> PdaArray:
     _check_cap(params.f * params.k, CELL_CAP, _CELLS)
     q, z, m, t, w = p.q, p.z, p.m, p.t, p.w
     k0 = params.k - (q if special else 0)
+    deltas = np.array(list(itertools.combinations(range(m), t)))
+    nd = len(deltas)
+    # a key digit is a_{d_i}, plus q e_i where the row holds e
+    radix = q if ext else q * w
+    keys = radix**t
     # every value stays within S <= F*K <= CELL_CAP, so int32 holds it
     rows = np.arange(params.f, dtype=np.int32)
-    cols = np.arange(k0, dtype=np.int32)
     A = _digits(rows, q, m)
-    B = _digits(cols, q, t)
-    deltas = np.array(list(itertools.combinations(range(m), t)))
-    D = deltas[cols // (k0 // len(deltas))]
-    # E[..., i] is an (F, 1) row digit or a (1, K0) column digit
-    E = (_digits(cols, w, t, unit=q**t)[None] if ext
-         else _digits(rows, w, t, unit=q**m)[:, None])
+    E = None if ext else _digits(rows, w, t, unit=q**m)
     wa, we = _weights(q, z, m, t)
-    base = A @ wa
-    grid = np.empty((params.f, params.k), dtype=np.int32)
-    block = grid[:, :k0]
-    block[:] = base[:, None] + 1
-    star = np.zeros(block.shape, dtype=bool)
+    # table of delta d, key k and column c within the delta block; its
+    # key digits run down axis 1 and its column digits along axis 2
+    key = np.arange(keys, dtype=np.int32)[:, None]
+    col = np.arange(k0 // nd, dtype=np.int32)[None]
+    table = np.ones((nd, keys, col.shape[1]), dtype=np.int32)
+    star = np.zeros(table.shape[1:], dtype=bool)
+    row_key = np.tile(np.arange(nd, dtype=np.intp) * keys, (params.f, 1))
     for i in range(t):
-        a_d, b = A[:, D[:, i]], B[:, i]
-        star |= (b - a_d) % q < z
-        block += ((b - E[..., i] * (q - z)) % q - a_d) * wa[D[:, i]]
-        block += (a_d - b - 1) % q * we[i]
-    block[star] = 0
+        digit = key // radix**i % radix
+        a, b = digit % q, col // q**i % q
+        e = col // (q**t * w**i) % w if ext else digit // q
+        star |= (b - a) % q < z
+        table += (((b - e * (q - z)) % q - a) * wa[deltas[:, i], None, None]
+                  + (a - b - 1) % q * we[i])
+        row_key += (A[:, deltas[:, i]] if ext
+                    else A[:, deltas[:, i]] + q * E[:, i, None]) * radix**i
+    table[:, star] = np.iinfo(np.int32).min
+    # cell = base(row) + table[delta, key(row, delta), c], a star below 0
+    block = table.reshape(nd * keys, -1).take(row_key, axis=0)
+    block = block.reshape(params.f, k0)
+    base = A @ wa
+    grid = (np.empty((params.f, params.k), dtype=np.int32) if special
+            else block)
+    np.add(block, base[:, None], out=grid[:, :k0])
+    np.maximum(grid[:, :k0], 0, out=grid[:, :k0])
     if special:
         # the closing block, keyed by the row digit sum u; t = 1
-        e0 = 0 if ext else E[:, 0, 0]
-        u = ((A.sum(axis=1) - e0 * (q - z)) % q)[:, None]
-        b = np.arange(q)
+        e0 = 0 if ext else E[:, 0]
+        u = ((A.sum(axis=1, dtype=np.int32) - e0 * (q - z)) % q)[:, None]
+        b = np.arange(q, dtype=np.int32)
         grid[:, k0:] = np.where((u - b) % q < z, 0,
                                 base[:, None] + (b - u - 1) % q + 1)
     return PdaArray._owned(grid)
@@ -241,9 +266,15 @@ def construct_ext_special(q: int, z: int, m: int) -> PdaArray:
 
 
 def construct_mn(k: int, t: int) -> PdaArray:
-    """Subset family: rows are the t-subsets of [1..K] in lexicographic
-    order; cell (T, u) is a star when u is in T, else the rank of T + {u}
-    among the (t+1)-subsets."""
+    """Subset family: rows are the t-subsets T of [0, K) in lexicographic
+    order; cell (T, u) is a star when u is in T, else the 1-based
+    lexicographic rank of T + {u} among the (t+1)-subsets.
+
+    With p = #(T_j < u), that rank is
+    S - sum_{j<p} C(K-1-T_j, t+1-j) - sum_{j>=p} C(K-1-T_j, t-j)
+    - C(K-1-u, t+1-p): a row table over p less a user table over p.  The
+    rows are filled in blocks of about _BLOCK_CELLS cells, each with one
+    prefix count of its star marks giving p."""
     _check_mn(k, t)
     # K C(K, t), one factor of the binomial at a time; each factor is at
     # least 2, so this stops within about 14,300 steps
@@ -256,23 +287,64 @@ def construct_mn(k: int, t: int) -> PdaArray:
         _check_cap(lower, CELL_CAP, _CELLS)
     params = mn_params(k, t)
     _check_cap(params.f * params.k, CELL_CAP, _CELLS)
-    # symbol s is the s-th (t+1)-subset, one row of sup
-    sup = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(k), t + 1)),
-        dtype=np.int64, count=params.s * (t + 1)).reshape(params.s, t + 1)
-    # the lexicographic rank of a t-subset x is C(k,t) - 1 minus the sum of
-    # C(k-1-x_j, t-j); as x_j = j + d with 0 <= d <= k-t, that term is
-    # binom[d, j]
-    pos = np.arange(t)
-    binom = np.array([[comb(k - 1 - j - d, t - j) for j in range(t)]
-                      for d in range(k - t + 1)], dtype=np.int64)
-    symbols = np.arange(1, params.s + 1, dtype=np.int32)
-    grid = np.zeros((params.f, k), dtype=np.int32)
-    for i in range(t + 1):
-        sub = np.delete(sup, i, axis=1)
-        rank = params.f - 1 - binom[sub - pos, pos].sum(axis=1)
-        grid[rank, sup[:, i]] = symbols
+    subsets = _subsets(k, t)
+    # with T_j = j + d, 0 <= d <= K-t: C(K-1-T_j, t-j) is lo[j, d] and
+    # C(K-1-T_j, t+1-j) is hi[j, d]; C(K-1-u, t+1-p) is hi[p, u-p] where u
+    # is not in T.  Each is a term of a rank, so below S, and a row's sums
+    # stay within (t+1) S = K C(K-1, t) <= F K <= CELL_CAP: int32 holds them.
+    span = k - t + 1
+    lo, hi = (np.array([[comb(max(k - 1 - j - d, 0), t - j + up)
+                         for d in range(span)] for j in range(t + up)],
+                       dtype=np.int32) for up in (0, 1))
+    steps = (lo - hi[:t]).ravel()
+    at = np.arange(t) * (span - 1)
+    users = np.arange(k, dtype=np.intp)
+    grid = np.empty((params.f, k), dtype=np.int32)
+    step = max(1, _BLOCK_CELLS // k)
+    for r0 in range(0, params.f, step):
+        sub = subsets[:, r0:r0 + step].T
+        n = sub.shape[0]
+        # the sum of lo over T is F-1-r, as row r has rank r, so
+        # row[r, p] = S - (F-1-r) - sum_{j<p} (hi - lo)[j, T_j - j]
+        row = np.empty((n, t + 1), dtype=np.int32)
+        row[:, 0] = np.arange(r0, r0 + n) + params.s - params.f + 1
+        row[:, 1:] = steps.take(sub + at)
+        np.cumsum(row, axis=1, out=row)
+        # count[r, u] = #(T_j <= u) is p wherever u is not in T
+        stars = (np.arange(n, dtype=np.intp) * k)[:, None] + sub
+        count = np.zeros((n, k), dtype=np.intp)
+        count.ravel()[stars] = 1
+        np.cumsum(count, axis=1, out=count)
+        cells = grid[r0:r0 + n]
+        # every index is in range; "clip" only spares take a copy of out
+        np.take(row, count + (np.arange(n, dtype=np.intp) * (t + 1))[:, None],
+                out=cells, mode="clip")
+        count *= span - 1
+        count += users
+        cells -= hi.take(count, mode="clip")
+        cells.ravel()[stars] = 0
     return PdaArray._owned(grid)
+
+
+def _subsets(k: int, t: int) -> np.ndarray:
+    """The t-subsets of [0, K) in lexicographic order, as t rows: column r
+    is the r-th subset, sorted."""
+    span = k - t + 1
+    # a prefix whose element j is j + d has C(K-1-j-d, t-1-j) completions,
+    # all of them consecutive rows
+    ways = np.array([[comb(k - 1 - j - d, t - 1 - j) for d in range(span)]
+                     for j in range(t)], dtype=np.intp)
+    sub = np.empty((t, comb(k, t)), dtype=np.int32)
+    last = np.arange(span)
+    for j in range(t):
+        if j:
+            # each prefix extends by every x with last < x <= K-t+j
+            counts = span - 1 + j - last
+            heads = np.cumsum(counts) - counts
+            last = (np.arange(counts.sum())
+                    - np.repeat(heads - last - 1, counts))
+        sub[j] = np.repeat(last, ways[j, last - j])
+    return sub
 
 
 def standard_sweep(max_cells: int = 1_000_000):

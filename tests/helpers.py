@@ -3,8 +3,9 @@
 The naive checker below is deliberately independent of the package: it
 works on plain row lists and tests every pair of cells directly, so it can
 serve as an oracle for the grouped-scan verifier.  The plain C3 pair scan,
-the dict-and-loop subset family and the pairwise relabeling test are kept
-as references for the block-gather kernel, construct_mn and equivalent.
+the dict-and-loop subset family, the cell-by-cell digit-vector families and
+the pairwise relabeling test are kept as references for the block-gather
+kernel, construct_mn, construct and equivalent.
 """
 
 import itertools
@@ -119,6 +120,55 @@ def naive_mn(k, t):
         for i, u in enumerate(sup):
             grid[row[sup[:i] + sup[i + 1:]], u] = s
     return grid
+
+
+def naive_vector(family, q, z, m, t):
+    """Digit-vector family grid by the cell rule of the constructions
+    module docstring, one cell at a time: rows (a, e) with e outermost,
+    columns (d, e, b) with d outermost, the e digits in the rows or (ext)
+    the columns, first digit fastest.  A star is 0; a symbol is the
+    mixed-radix value of the substituted a (base q, most significant
+    first) and its trailing digits (base q-z), plus 1."""
+    family = str(family)
+    ext = family.startswith("ext")
+    special = family.endswith("special")
+    w = (q - 1) // (q - z)
+
+    def tuples(radix, count):
+        return [tup[::-1]
+                for tup in itertools.product(range(radix), repeat=count)]
+
+    def symbol(digits, trailing):
+        value = 0
+        for x in digits:
+            value = value * q + x
+        for y in trailing:
+            value = value * (q - z) + y
+        return value + 1
+
+    rows = [(a, e) for e in tuples(w, 0 if ext else t) for a in tuples(q, m)]
+    cols = [(d, e, b) for d in itertools.combinations(range(m), t)
+            for e in tuples(w, t if ext else 0) for b in tuples(q, t)]
+    grid = []
+    for a, row_e in rows:
+        line = []
+        for d, col_e, b in cols:
+            e = col_e if ext else row_e
+            if any((b[i] - a[d[i]]) % q < z for i in range(t)):
+                line.append(0)
+                continue
+            sub = list(a)
+            for i in range(t):
+                sub[d[i]] = (b[i] - e[i] * (q - z)) % q
+            line.append(symbol(sub, [(a[d[i]] - b[i] - 1) % q
+                                     for i in range(t)]))
+        if special:
+            u = (sum(a) - (0 if ext else row_e[0]) * (q - z)) % q
+            for b in range(q):
+                line.append(0 if (u - b) % q < z
+                            else symbol(a, [(b - u - 1) % q]))
+        grid.append(line)
+    return np.array(grid, dtype=np.int64)
 
 
 def naive_deliver(rows, files, demand):

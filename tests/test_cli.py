@@ -195,6 +195,21 @@ class TestVerify:
         with pytest.raises(SystemExit) as exit_info:
             main(["simulate", path, "--format", "csv"])
         assert exit_info.value.code == 2
+        # construct refuses the options its family does not read
+        capsys.readouterr()
+        for argv, message in (
+                (["--family", "mn", "--k", "5", "--t", "2", "--q", "3",
+                  "--z", "1", "--m", "9"],
+                 "construct: mn takes no --q, --z or --m\n"),
+                (["--family", "mn", "--k", "5", "--t", "2", "--m", "9"],
+                 "construct: mn takes no --q, --z or --m\n"),
+                (["--family", "general", "--q", "3", "--z", "2", "--m", "2",
+                  "--t", "1", "--k", "5"],
+                 "construct: vector families take no --k\n"),
+                (["--family", "ext-special", "--q", "3", "--z", "2", "--m",
+                  "2", "--k", "5"],
+                 "construct: vector families take no --k\n")):
+            assert run(capsys, "construct", *argv) == (2, "", message)
 
 
 def _no_store(*args, **kwargs):

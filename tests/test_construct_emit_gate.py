@@ -5,7 +5,10 @@ at a time and before emit stopped formatting numpy scalars, so any change
 of array or of output byte shows here.  The wide vector-family digest was
 recorded before construct filled its grid from row and column digit tables;
 it reaches every t = 3 array and every q of 7-9 that standard_sweep leaves
-out.
+out.  The large-array digests were recorded before construct gathered its
+vector block from per-delta lookup tables and before construct_mn ranked
+its cells from the t-subset rows in row blocks; they reach the arrays at
+the cell cap that the other digests stop short of.
 """
 
 import hashlib
@@ -67,3 +70,30 @@ def test_wide_vector_arrays_unchanged():
     assert (count, h.hexdigest()) == (
         387,
         "23e447e997f6092e865a4523ff74f540834bf6308f864bb6c667e76cef52324e")
+
+
+LARGE_VECTOR_CASES = ((Family.GENERAL, (10, 6, 5, 1)),
+                      (Family.SPECIAL, (4, 3, 8, 1)),
+                      (Family.EXT_SPECIAL, (6, 5, 4, 1)),
+                      (Family.GENERAL, (2, 1, 12, 3)))
+LARGE_MN_CASES = ((24, 4), (20, 3), (16, 8), (30, 2), (21, 10))
+
+
+def test_large_vector_arrays_unchanged():
+    h = hashlib.sha256()
+    for family, p in LARGE_VECTOR_CASES:
+        grid = construct(family, ConstructionParams(*p)).grid
+        h.update(repr((family.value, p, grid.shape, str(grid.dtype))).encode())
+        h.update(grid.tobytes())
+    assert h.hexdigest() == (
+        "1530d39ece9ee0251bcc1c4786c0bd88a4825029616c69acbe95a19766bee7b0")
+
+
+def test_large_mn_arrays_unchanged():
+    h = hashlib.sha256()
+    for k, t in LARGE_MN_CASES:
+        grid = construct_mn(k, t).grid
+        h.update(repr((k, t, grid.shape, str(grid.dtype))).encode())
+        h.update(grid.tobytes())
+    assert h.hexdigest() == (
+        "8f57f726ca15eae971e498006f4ffb8442f3f8b3331c0e0fa805691a02a338a4")

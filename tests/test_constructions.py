@@ -4,17 +4,21 @@ closed-form parameter evaluator."""
 import hashlib
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from helpers import fixture_text, naive_mn, naive_params, naive_valid
+from helpers import (fixture_text, naive_mn, naive_params, naive_valid,
+                     naive_vector)
 from pdakit import (ConstructionParams, Family, ParamDomainError, PdaParams,
                     SizeCapError, construct, construct_ext_general,
                     construct_ext_special, construct_general, construct_mn,
                     construct_special, equivalent, mn_params, params_of,
                     parse, standard_sweep, theorem_params, verify_pda)
+from pdakit import constructions
+from pdakit.constructions import VECTOR_FAMILIES
 from pdakit.core import _count_text
 
 P_3221 = ConstructionParams(3, 2, 2, 1)
@@ -138,6 +142,69 @@ class TestMn:
         for k in range(2, 15):
             for t in range(1, k):
                 assert (construct_mn(k, t).grid == naive_mn(k, t)).all()
+
+    @pytest.mark.parametrize("cells", [1, 50, 1000])
+    def test_row_blocks_split_mid_array(self, monkeypatch, cells):
+        # blocks of one row, of a few rows with a short last block, and of
+        # many rows; K above the block gives one row per block
+        monkeypatch.setattr(constructions, "_BLOCK_CELLS", cells)
+        for k, t in [(6, 3), (7, 2), (9, 4), (12, 5), (13, 1), (14, 13),
+                     (60, 1)]:
+            assert (construct_mn(k, t).grid == naive_mn(k, t)).all(), (k, t)
+
+
+class TestCellRule:
+    """construct against the cell rule evaluated one cell at a time."""
+
+    @staticmethod
+    def cases():
+        for family in VECTOR_FAMILIES:
+            special = family in (Family.SPECIAL, Family.EXT_SPECIAL)
+            for q in range(2, 8):
+                for z in range(1, q):
+                    for t in (1,) if special else (1, 2, 3):
+                        for m in range(1 if special else t + 1, 5):
+                            p = ConstructionParams(q, z, m, t)
+                            tp = theorem_params(family, p)
+                            if tp.f * tp.k <= 20_000:
+                                yield family, p
+
+    def test_matches_naive_vector(self):
+        count = 0
+        for family, p in self.cases():
+            want = naive_vector(family, p.q, p.z, p.m, p.t)
+            got = construct(family, p).grid
+            assert got.shape == want.shape, (family, p)
+            assert (got == want).all(), (family, p)
+            count += 1
+        assert count == 256
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        arr = build()
+        return arr.grid.nbytes, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestConstructMemory:
+    """Peak traced bytes of a build, as a multiple of its int32 grid."""
+
+    def test_vector_family_peak(self):
+        # general(6,5,3,2): a 2.3 MB grid; the per-position broadcast
+        # build peaked at 10.1 MB, the table gather at 3.1 MB
+        grid, peak = _traced_peak(lambda: construct_general(6, 5, 3, 2))
+        assert grid == 2_332_800
+        assert peak < 2 * grid
+
+    def test_mn_peak(self):
+        # mn(16,8): a 0.8 MB grid; the (t+1)-subset scatter peaked at
+        # 4.05 MB, the row blocks at 2.8 MB
+        grid, peak = _traced_peak(lambda: construct_mn(16, 8))
+        assert grid == 823_680
+        assert peak < 4 * grid
 
 
 class TestTheoremParams:
