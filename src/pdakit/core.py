@@ -241,7 +241,8 @@ class _CellTable:
     of cells; ``slot_of`` maps a cell to the index of its symbol,
     ``faults`` holds the pairs breaking C3 as columns, and
     ``degree_classes`` groups the slots by cell count.  The arrays are
-    read-only; the last three are built on first use.
+    read-only; the last three are built on first use.  ``gathered`` is
+    simulate._prepare's memo of its last gather over this table, or None.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -259,6 +260,7 @@ class _CellTable:
         for a in cells:
             a.flags.writeable = False
         self.rows, self.cols, self.symbols, self.starts = cells
+        self.gathered = None
 
     @cached_property
     def slot_of(self) -> np.ndarray:

@@ -36,6 +36,15 @@ read-only arrays, and the payloads are one flat byte array.  Its
 ``transmissions`` view of Transmission objects is built only when read, for
 traces and for tests that alter a log.  A PacketStore's data is read-only,
 so each file's SHA-256 is computed once per store and remembered.
+
+deliver and decode_and_verify gather each demand's packets once.  The
+array's cell table keeps a one-entry memo of the last gather: a weak
+reference to the store, the demand as int64 bytes and a weak reference to
+the read-only array that owns the slot XORs, which a delivered log's
+payload is a view of.  While that payload lives, a call with the same
+store object and an equal demand reads the XORs from it; the memo keeps
+neither the store nor the payload alive.  decode_and_verify still compares
+the log byte for byte with those XORs, so a tampered log fails as before.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -223,6 +233,13 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
     all gathered packets is never built.  When the slots have several
     degrees, the XORs come out in class order and are put back in slot
     order.
+
+    The (S, words) XORs are owned by one read-only array, remembered in
+    the table's ``gathered`` memo as (weak reference to the store, demand
+    bytes, weak reference to the owner).  A call with the same store
+    object and demand bytes whose owner is still alive returns a view of
+    it, without the cap check or the gather; any other call gathers and
+    replaces the memo.
     """
     if store.f != arr.f:
         raise ValueError(
@@ -237,7 +254,13 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
     if d and not 1 <= min(d) <= max(d) <= store.n_files:
         raise ValueError(f"demand entries must lie in [1, {store.n_files}]")
     d = np.array(d, dtype=np.int64)
+    key = d.tobytes()
     table = _cell_table(arr)
+    last = table.gathered
+    if last is not None and last[0]() is store and last[1] == key:
+        owner = last[2]()
+        if owner is not None:
+            return d, table, owner.view(np.uint8)
     _check_cap(table.rows.size * store.packet_size, BYTE_CAP,
                "the gathered packets would hold {} bytes")
     cells, slots, classes = table.degree_classes
@@ -264,11 +287,18 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
         unsorted = np.empty_like(totals)
         unsorted[slots] = totals
         totals = unsorted
+    totals.flags.writeable = False
+    table.gathered = (weakref.ref(store), key, weakref.ref(totals))
     return d, table, totals.view(np.uint8)
 
 
 def deliver(arr: PdaArray, store: PacketStore, demand) -> TransmissionLog:
-    """Broadcast one XOR payload per symbol, ascending symbol order."""
+    """Broadcast one XOR payload per symbol, ascending symbol order.
+
+    The payload is a read-only view of _prepare's XORs, so while the log
+    lives, decode_and_verify for the same store and demand does not gather
+    them again.
+    """
     _, table, totals = _prepare(arr, store, demand)
     size = store.packet_size
     return TransmissionLog._of_columns(
@@ -294,7 +324,10 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     fails iff one of its cells lies in a slot with non-zero rest.  Only a
     failing user's file is put together, for its hash: the stored file
     with each of the user's rows XORed by its slot's rest_s.  The store
-    hashes each demanded file once.
+    hashes each demanded file once.  While the log that deliver returned
+    for this store object and demand lives, the p_s XORs are read from
+    _prepare's memo, which holds them weakly, instead of gathered again;
+    either way the log's payload is compared with them byte for byte.
     """
     d, table, totals = _prepare(arr, store, demand)
     rows, cols, symbols = table.rows, table.cols, table.symbols

@@ -1,7 +1,9 @@
 """Placement, delivery, decoding against hand-computed byte oracles."""
 
+import gc
 import hashlib
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -335,6 +337,19 @@ class TestColumns:
         assert deliver(arr, store, [1, 2, 3, 4]) == log
         assert deliver(PdaArray(MN_4_2.grid), store, [1, 2, 3, 4]) == log
 
+    def test_no_writeable_array_shares_a_log(self):
+        for arr in (PdaArray(MN_4_2.grid), PdaArray([[1, 2], [2, 1]]),
+                    PdaArray([[1, 2, 2], [3, 1, 0], [1, 4, 4]])):
+            store = PacketStore.synthetic(3, arr.f, 8, seed=3)
+            log = deliver(arr, store, [1 + u % 3 for u in range(arr.k)])
+            for name in simulate._COLUMNS:
+                a = getattr(log, name)
+                while isinstance(a, np.ndarray):
+                    assert not a.flags.writeable, name
+                    a = a.base
+            owner = simulate._cell_table(arr).gathered[2]()
+            assert np.shares_memory(owner, log.payload)
+
     def test_object_view_round_trips(self):
         store = PacketStore.synthetic(6, 6, 4, seed=9)
         log = deliver(MN_4_2, store, [4, 1, 1, 6])
@@ -368,6 +383,18 @@ def uneven_grids(draw):
     return grid
 
 
+def recorded(store: PacketStore, shapes: list) -> PacketStore:
+    """A new store over a copy of store's packets that appends the index
+    shape of every take on them to shapes."""
+    class Recording(np.ndarray):
+        def take(self, indices, axis=None, **kwargs):
+            shapes.append(np.shape(indices))
+            return np.asarray(self).take(indices, axis=axis, **kwargs)
+
+    return PacketStore(store.n_files, store.f, store.packet_size, store.seed,
+                       store.data.view(Recording))
+
+
 class TestXorByDegree:
     @given(uneven_grids(), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 256]),
            st.integers(0, 2**31 - 1))
@@ -390,15 +417,9 @@ class TestXorByDegree:
         # a class of n slots of degree g is read in at most min(g, n)
         # takes of at most n + g packets, each term exactly once
         shapes = []
-
-        class Recording(np.ndarray):
-            def take(self, indices, axis=None, **kwargs):
-                shapes.append(np.shape(indices))
-                return np.asarray(self).take(indices, axis=axis, **kwargs)
-
         arr = PdaArray(grid)
         plain = PacketStore.synthetic(2, arr.f, 8, seed=0)
-        store = PacketStore(2, arr.f, 8, 0, plain.data.view(Recording))
+        store = recorded(plain, shapes)
         demand = [1 + u % 2 for u in range(arr.k)]
         totals = simulate._prepare(arr, store, demand)[2]
         assert np.array_equal(totals, simulate._prepare(arr, plain,
@@ -429,6 +450,96 @@ class TestXorByDegree:
                 for g, s, c in classes] == [(1, 0, 1, 0, 1), (2, 1, 3, 1, 5),
                                              (3, 3, 4, 5, 8)]
         assert cells.tolist() == [5, 3, 4, 6, 7, 0, 1, 2]
+
+
+def _flipped(log: TransmissionLog, slot: int) -> TransmissionLog:
+    """log with the first byte of slot's payload flipped."""
+    sent = list(log.transmissions)
+    t = sent[slot]
+    sent[slot] = Transmission(t.symbol, t.terms,
+                              bytes([t.payload[0] ^ 1]) + t.payload[1:])
+    return TransmissionLog(sent, log.packet_size)
+
+
+class TestGatherMemo:
+    """deliver and decode_and_verify share one gather per (array, store,
+    demand) while the delivered payload lives."""
+
+    ARRAYS = {
+        "mn": MN_4_2.grid,
+        "ext-general": construct_ext_general(3, 2, 3, 2).grid,
+        "faulty": [[1, 2], [2, 1]],
+        "uneven": [[1, 2, 2], [3, 1, 0], [1, 4, 4]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(ARRAYS))
+    def test_decode_after_deliver_gathers_nothing(self, name):
+        arr = PdaArray(self.ARRAYS[name])
+        shapes = []
+        store = recorded(PacketStore.synthetic(3, arr.f, 8, seed=6), shapes)
+        demand = [1 + u % 3 for u in range(arr.k)]
+        log = deliver(arr, store, demand)
+        assert shapes
+        shapes.clear()
+        report = decode_and_verify(arr, store, demand, log)
+        assert shapes == []
+        assert report == decode_and_verify(PdaArray(arr.grid), store, demand,
+                                           log)
+
+    @pytest.mark.parametrize("change", ["demand", "store", "dropped"])
+    def test_other_inputs_gather_again(self, change):
+        arr = PdaArray(construct_ext_general(3, 2, 3, 2).grid)
+        shapes = []
+        plain = PacketStore.synthetic(3, arr.f, 8, seed=8)
+        store = recorded(plain, shapes)
+        demand = [1 + u % 3 for u in range(arr.k)]
+        log = deliver(arr, store, demand)
+        if change == "demand":
+            demand = demand[::-1]
+        elif change == "store":
+            store = recorded(plain, shapes)
+        else:
+            # same bytes, but the delivered payload is gone
+            copy = TransmissionLog(log.transmissions, log.packet_size)
+            del log
+            gc.collect()
+            log = copy
+        shapes.clear()
+        report = decode_and_verify(arr, store, demand, log)
+        assert shapes
+        assert report == decode_and_verify(PdaArray(arr.grid), store, demand,
+                                           log)
+        assert report.success == (change != "demand")
+
+    def test_memo_keeps_nothing_alive(self):
+        arr = PdaArray(MN_4_2.grid)
+        store = PacketStore.synthetic(6, 6, 8, seed=1)
+        log = deliver(arr, store, [1, 2, 3, 4])
+        assert decode_and_verify(arr, store, [1, 2, 3, 4], log).success
+        refs = weakref.ref(store), weakref.ref(log.payload.base)
+        del store, log
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        # the array and its memo live on, holding nothing
+        store_ref, _, owner_ref = simulate._cell_table(arr).gathered
+        assert store_ref() is None and owner_ref() is None
+
+    @given(uneven_grids(), st.data())
+    def test_flipped_payload_decoded_while_hot(self, grid, data):
+        arr = PdaArray(grid)
+        shapes = []
+        store = recorded(PacketStore.synthetic(2, arr.f, 4, seed=3), shapes)
+        demand = [1 + u % 2 for u in range(arr.k)]
+        log = deliver(arr, store, demand)
+        if not log.symbols.size:
+            return
+        flipped = _flipped(log, data.draw(st.integers(0, log.symbols.size
+                                                      - 1)))
+        shapes.clear()
+        report = decode_and_verify(arr, store, demand, flipped)
+        assert shapes == [] and not report.success
+        assert report == decode_and_verify(PdaArray(grid), store, demand,
+                                           flipped)
 
 
 def _stacked(*grids):
