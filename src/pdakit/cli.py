@@ -9,6 +9,7 @@ domain error, 3 a size cap exceeded (the caps are listed in pdakit.core).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
 from fractions import Fraction
@@ -26,13 +27,20 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def _write(target: str, text: str) -> None:
-    """Write --out: a path, or '-' for stdout."""
-    if target == "-":
-        sys.stdout.write(text)
-    else:
-        with open(target, "w", encoding="ascii") as fh:
-            fh.write(text)
+def _write(target: str, text) -> None:
+    """Write --out: a path, or '-' for stdout.
+
+    ``text`` is a str or an iterable of str chunks, written as they come.
+    The first chunk is made before the target is opened, so a command
+    refused while making it writes nothing and creates no file.
+    """
+    chunks = iter((text,) if isinstance(text, str) else text)
+    first = next(chunks)
+    with (contextlib.nullcontext(sys.stdout) if target == "-"
+          else open(target, "w", encoding="ascii")) as fh:
+        fh.write(first)
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -241,29 +249,38 @@ def _cmd_simulate(args) -> int:
     store = simulate.PacketStore.synthetic(n, arr.f, args.packet_size,
                                            args.seed)
     if args.random_demands is not None:
+        count = args.random_demands
         rng = np.random.default_rng(args.seed)
-        demands = [list(map(int, rng.integers(1, n + 1, size=k)))
-                   for _ in range(args.random_demands)]
+        # each demand is drawn just before it runs, in the same order
+        demands = (list(map(int, rng.integers(1, n + 1, size=k)))
+                   for _ in range(count))
     elif args.demand is not None:
-        demands = [_parse_demand(args.demand)]
+        count, demands = 1, [_parse_demand(args.demand)]
     else:
-        demands = [[(i % n) + 1 for i in range(k)]]
+        count, demands = 1, [[(i % n) + 1 for i in range(k)]]
 
-    lines = [f"seed={args.seed} N={n} packet_size={store.packet_size}"]
     all_ok = True
-    for demand in demands:
-        log = simulate.deliver(arr, store, demand)
-        report = simulate.decode_and_verify(arr, store, demand, log)
-        all_ok &= report.success
-        lines.append(f"demand={','.join(map(str, demand))}")
-        if len(demands) == 1:
-            lines.extend(log.trace_lines())
-        lines.append(f"bytes_sent={report.bytes_sent} rate={report.rate}")
-        for u in report.users:
-            status = "ok" if u.ok else "FAIL " + "; ".join(u.problems)
-            lines.append(f"user {u.user} file {u.demanded}: {status}")
-        lines.append(f"decode={'ok' if report.success else 'FAIL'}")
-    _write(args.out, "\n".join(lines) + "\n")
+
+    def blocks():
+        # one block per demand, written once it is decoded
+        nonlocal all_ok
+        lines = [f"seed={args.seed} N={n} packet_size={store.packet_size}"]
+        for demand in demands:
+            log = simulate.deliver(arr, store, demand)
+            report = simulate.decode_and_verify(arr, store, demand, log)
+            all_ok &= report.success
+            lines.append(f"demand={','.join(map(str, demand))}")
+            if count == 1:
+                lines.extend(log.trace_lines())
+            lines.append(f"bytes_sent={report.bytes_sent} rate={report.rate}")
+            for u in report.users:
+                status = "ok" if u.ok else "FAIL " + "; ".join(u.problems)
+                lines.append(f"user {u.user} file {u.demanded}: {status}")
+            lines.append(f"decode={'ok' if report.success else 'FAIL'}")
+            yield "\n".join(lines) + "\n"
+            lines = []
+
+    _write(args.out, blocks())
     return EXIT_OK if all_ok else EXIT_SEMANTIC
 
 

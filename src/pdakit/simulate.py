@@ -24,8 +24,9 @@ are the array's cell table (core), built once and kept on the array, so a
 demand only gathers packets from the flat (N*F, packet_size) store and XORs
 them.  The table groups the slots by degree g, their term count (every
 constructed array has a single degree), and the n slots of a degree are
-worked term-major: each take reads the next ceil(g / n) terms of every
-slot, XORs them and XORs the result into the n slots' running payloads.
+worked term-major: their store rows form a C-contiguous (g, n) index whose
+row a holds term a of every slot, and each take reads the next ceil(g / n)
+rows, XORs them and XORs the result into the n slots' running payloads.
 That is at most min(g, n) takes per degree, none larger than n + g
 packets, so a delivery never holds all its gathered packets at once.  A
 store's N*F*packet_size bytes and a delivery's gathered (non-star
@@ -45,6 +46,15 @@ payload is a view of.  While that payload lives, a call with the same
 store object and an equal demand reads the XORs from it; the memo keeps
 neither the store nor the payload alive.  decode_and_verify still compares
 the log byte for byte with those XORs, so a tampered log fails as before.
+
+Per demand, decode_and_verify does only the demand's work.  A delivered
+log's term users, rows and bounds are the cell table's own arrays, so when
+the log holds those very arrays (an ``is`` test) their comparison with the
+table is skipped: an array equals itself, so the skip is exact.  Its
+symbols and payload bounds are still compared.  The cache audit runs only
+when the array has C3 faults, the users that decode wrongly are looked up
+only when some slot's payload differs, and a user's result is a
+UserDecodeResult named tuple.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,8 +210,10 @@ class TransmissionLog:
             for n in _COLUMNS)
 
 
-@dataclass(frozen=True)
-class UserDecodeResult:
+class UserDecodeResult(NamedTuple):
+    """One user's decode: an immutable named tuple, so it also unpacks and
+    equals the plain tuple of its fields."""
+
     user: int
     demanded: int
     ok: bool
@@ -226,9 +239,11 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
     (SizeCapError), and returns the demand as int64, the array's cell table
     and the (S, packet_size) XOR of each slot's packets.  Each degree
     class of n slots of degree g is worked term by term: its cells' store
-    rows form an (n, g) index, and each take reads b = ceil(g / n) of its
-    columns, whose packets are XORed over the b terms and into the class's
-    n accumulated rows.  So a class costs at most min(g, n) takes, and no
+    rows form a C-contiguous (g, n) index, built straight from the table's
+    columns, whose row a holds term a of each of the n slots.  Each take
+    reads b = ceil(g / n) of its rows, whose packets are XORed over the b
+    terms and into the class's n accumulated rows.  So a class costs at
+    most min(g, n) takes, and no
     take holds more than n + g packets: the (cells, packet_size) block of
     all gathered packets is never built.  When the slots have several
     degrees, the XORs come out in class order and are put back in slot
@@ -264,25 +279,26 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
     _check_cap(table.rows.size * store.packet_size, BYTE_CAP,
                "the gathered packets would hold {} bytes")
     cells, slots, classes = table.degree_classes
-    # cell (j, k) reads row (d_k - 1) F + j of the (N F, packet_size) view
-    index = (d[table.cols] - 1) * arr.f + table.rows
-    if cells is not None:
-        index = index.take(cells)
     # XOR whole machine words, the widest that divides a packet
     words = store.data.reshape(-1, store.packet_size).view(
         f"u{math.gcd(store.packet_size, 8)}")
     totals = np.zeros((table.symbols.size, words.shape[1]), words.dtype)
     for g, in_slots, in_cells in classes:
-        # row i holds the g terms of the class's slot i; b term columns
-        # per take keep each take within n + g packets and the loop within
-        # min(g, n) takes
-        terms = index[in_cells].reshape(-1, g)
-        b = -(-g // terms.shape[0])
+        if cells is not None:
+            in_cells = cells[in_cells]
+        # row a holds term a of each of the class's n slots: cell (j, k)
+        # reads row (d_k - 1) F + j of the (N F, packet_size) view
+        terms = d.take(table.cols[in_cells].reshape(-1, g).T)
+        terms -= 1
+        terms *= arr.f
+        terms += table.rows[in_cells].reshape(-1, g).T
+        # b rows per take keep each take within n + g packets and the loop
+        # within min(g, n) takes
+        b = -(-g // terms.shape[1])
         acc = totals[in_slots]
         for a in range(0, g, b):
-            block = words.take(terms[:, a:a + b], axis=0)
-            acc ^= (np.bitwise_xor.reduce(block, axis=1) if b > 1
-                    else block[:, 0])
+            block = words.take(terms[a:a + b], axis=0)
+            acc ^= np.bitwise_xor.reduce(block) if b > 1 else block[0]
     if slots is not None:
         unsorted = np.empty_like(totals)
         unsorted[slots] = totals
@@ -328,11 +344,20 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     for this store object and demand lives, the p_s XORs are read from
     _prepare's memo, which holds them weakly, instead of gathered again;
     either way the log's payload is compared with them byte for byte.
+
+    The log's symbols and payload bounds are always compared with the
+    array.  Its term users, rows and bounds are compared only when they are
+    not the cell table's own arrays; a delivered log holds those very
+    arrays, and an array equals itself.  The audit runs only when the
+    array has C3 faults, and ``success`` is read from the same flags as
+    the users' ``ok``.
     """
     d, table, totals = _prepare(arr, store, demand)
     rows, cols, symbols = table.rows, table.cols, table.symbols
+    demanded = d.tolist()
 
-    user_problems: dict[int, list[str]] = {u: [] for u in range(arr.k)}
+    # the notes of each user that has any
+    user_problems: dict[int, list[str]] = {}
     global_problems: list[str] = []
 
     # structural consistency of the log with this array
@@ -342,13 +367,17 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     if not np.array_equal(log.symbols, symbols):
         global_problems.append("log symbols do not match the array")
     else:
-        # past the first slot whose term count differs the terms no longer
-        # line up, but that slot is flagged first anyway
-        n = min(log.cols.size, cols.size)
-        moved = (log.cols[:n] != cols[:n]) | (log.rows[:n] != rows[:n])
-        bad = ((np.diff(log.starts) != np.diff(table.starts))
-               | (np.diff(log.ends) != store.packet_size))
-        bad[table.slot_of[:n][moved]] = True
+        bad = np.diff(log.ends) != store.packet_size
+        # a delivered log's terms and term bounds are the table's own
+        # arrays, and an array equals itself
+        if not (log.cols is cols and log.rows is rows
+                and log.starts is table.starts):
+            # past the first slot whose term count differs the terms no
+            # longer line up, but that slot is flagged first anyway
+            n = min(log.cols.size, cols.size)
+            moved = (log.cols[:n] != cols[:n]) | (log.rows[:n] != rows[:n])
+            bad |= np.diff(log.starts) != np.diff(table.starts)
+            bad[table.slot_of[:n][moved]] = True
         if bad.any():
             global_problems.append(f"log entry for symbol "
                                    f"{symbols[bad.argmax()]} "
@@ -358,61 +387,69 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     # first LISTED bad pairs are named; each user gets one closing count of
     # its notes from the rest
     listed = core.LISTED
-    for s, j1, k1, j2, k2, u1, u2 in table.fault_rows(slice(listed)):
-        if k1 == k2:
-            user_problems[k1].append(
-                f"symbol {s} occurs twice in column {k1 + 1} "
-                f"(rows {j1 + 1}, {j2 + 1}): own packets collide")
-            continue
-        # user c lacks the packet of the pair's other term in row r
-        for (r, c), u in (((j1, k2), u1), ((j2, k1), u2)):
-            if not u:
-                continue
-            if j1 == j2:
-                why = (f"shares row {r + 1} with user {c + 1}'s own term: "
-                       "not cached")
-            else:
-                why = f"is not cached: cell ({r + 1},{c + 1}) is not a star"
-            user_problems[c].append(
-                f"packet (file {d[k1 if c == k2 else k2]}, row {r + 1}) "
-                f"needed for symbol {s} {why}")
     _, _, c1, _, c2, uncached = table.faults
-    if c1.size > listed:
-        # a pair within one column is one note for its user, any other
-        # pair one note for the user of each uncached cross cell
-        own = c1[listed:] == c2[listed:]
-        more = np.bincount(c1[listed:][own], minlength=arr.k)
-        for col, flag in ((c2, uncached[:, 0]), (c1, uncached[:, 1])):
-            more += np.bincount(col[listed:][~own & flag[listed:]],
-                                minlength=arr.k)
-        for u in np.flatnonzero(more).tolist():
-            user_problems[u].append(f"{more[u]} more cache problems")
+    if c1.size:
+        for s, j1, k1, j2, k2, u1, u2 in table.fault_rows(slice(listed)):
+            if k1 == k2:
+                user_problems.setdefault(k1, []).append(
+                    f"symbol {s} occurs twice in column {k1 + 1} "
+                    f"(rows {j1 + 1}, {j2 + 1}): own packets collide")
+                continue
+            # user c lacks the packet of the pair's other term in row r
+            for (r, c), u in (((j1, k2), u1), ((j2, k1), u2)):
+                if not u:
+                    continue
+                if j1 == j2:
+                    why = (f"shares row {r + 1} with user {c + 1}'s own "
+                           "term: not cached")
+                else:
+                    why = (f"is not cached: cell ({r + 1},{c + 1}) is not "
+                           "a star")
+                user_problems.setdefault(c, []).append(
+                    f"packet (file {demanded[k1 if c == k2 else k2]}, "
+                    f"row {r + 1}) needed for symbol {s} {why}")
+        if c1.size > listed:
+            # a pair within one column is one note for its user, any other
+            # pair one note for the user of each uncached cross cell
+            own = c1[listed:] == c2[listed:]
+            more = np.bincount(c1[listed:][own], minlength=arr.k)
+            for col, flag in ((c2, uncached[:, 0]), (c1, uncached[:, 1])):
+                more += np.bincount(col[listed:][~own & flag[listed:]],
+                                    minlength=arr.k)
+            for u in np.flatnonzero(more).tolist():
+                user_problems.setdefault(u, []).append(
+                    f"{more[u]} more cache problems")
 
     decodable = not global_problems
     wrong: set[int] = set()
     if decodable:
         rest = log.payload.reshape(totals.shape) ^ totals
-        wrong = set(cols[rest.any(axis=1)[table.slot_of]].tolist())
+        differs = rest.any(axis=1)
+        if differs.any():
+            wrong = set(cols[differs[table.slot_of]].tolist())
 
-    hashes = {i: store.file_hash(i) for i in set(d.tolist())}
+    hashes = {i: store.file_hash(i) for i in set(demanded)}
     users = []
-    for u in range(arr.k):
-        i = int(d[u])
-        problems = tuple(user_problems[u])
+    for u, i in enumerate(demanded):
         expected = hashes[i]
-        ok = decodable and not problems and u not in wrong
-        decoded_hash = expected if ok else None
-        if decodable and not problems and not ok:
+        problems = user_problems.get(u)
+        if problems or not decodable:
+            users.append(UserDecodeResult(u + 1, i, False, expected, None,
+                                          tuple(problems or ())))
+        elif u in wrong:
             mine = cols == u
             got = store.data[i - 1].copy()
             got[rows[mine]] ^= rest[table.slot_of[mine]]
-            decoded_hash = hashlib.sha256(got.tobytes()).hexdigest()
-            problems = (f"decoded file differs from file {i}",)
-        users.append(UserDecodeResult(u + 1, i, ok, expected, decoded_hash,
-                                      problems))
+            users.append(UserDecodeResult(
+                u + 1, i, False, expected,
+                hashlib.sha256(got.tobytes()).hexdigest(),
+                (f"decoded file differs from file {i}",)))
+        else:
+            users.append(UserDecodeResult(u + 1, i, True, expected, expected,
+                                          ()))
 
     return DecodeReport(
-        success=all(r.ok for r in users) and not global_problems,
+        success=decodable and not user_problems and not wrong,
         users=tuple(users),
         problems=tuple(global_problems),
         bytes_sent=log.bytes_sent,

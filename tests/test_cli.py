@@ -342,6 +342,38 @@ class TestSimulate:
                        f"{simulate.BYTE_CAP}\n")
         assert peak < 1 << 20
 
+    def test_refused_demand_creates_no_out_file(self, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        code, out, err = run(capsys, "simulate",
+                             str(FIXTURES / "mn_k4_t2.pda"), "--demand",
+                             "1,2", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == "error: demand must list 4 file indices\n"
+        assert not target.exists()
+
+    def test_random_demands_streamed(self, capsys, tmp_path):
+        # each demand's block is written when it is decoded, so the traced
+        # peak does not grow with the number of demands
+        target = str(tmp_path / "out.txt")
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                code = main(["simulate", str(FIXTURES / "mn_k4_t2.pda"),
+                             "--random-demands", str(count), "--out",
+                             target])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # first use builds the cell table, imports and caches
+        assert peak(1)[0] == 0
+        (code, few), (code_many, many) = peak(2000), peak(10000)
+        assert code == code_many == 0
+        with open(target, encoding="ascii") as fh:
+            assert sum(line == "decode=ok\n" for line in fh) == 10000
+        assert many <= few + (1 << 17)
+
     def test_deterministic_output(self, capsys):
         args = ("simulate", str(FIXTURES / "special_q3_z2_m2.pda"),
                 "--random-demands", "3", "--seed", "11")

@@ -429,7 +429,7 @@ class TestXorByDegree:
             n = in_slots.stop - in_slots.start
             read = takes = 0
             while read < g:
-                rows, cols = shapes.pop(0)
+                cols, rows = shapes.pop(0)
                 assert rows == n and rows * cols <= n + g
                 read += cols
                 takes += 1
@@ -618,6 +618,71 @@ class TestDegenerateClasses:
                                                      payloads)):
             assert not u.ok
             assert u.decoded_hash == hashlib.sha256(got).hexdigest()
+
+
+def _copied(log: TransmissionLog) -> TransmissionLog:
+    """log over copies of all six of its columns."""
+    return TransmissionLog._of_columns(
+        log.packet_size, *(getattr(log, n).copy() for n in simulate._COLUMNS))
+
+
+class TestDeliveredLogShortcut:
+    """A log whose terms and term bounds are the cell table's own arrays
+    skips their comparison; that is exact, since an array equals itself."""
+
+    @staticmethod
+    def check_copy_decodes_alike(arr, store, demand):
+        log = deliver(arr, store, demand)
+        copy = _copied(log)
+        assert copy.cols is not log.cols and copy.starts is not log.starts
+        report = decode_and_verify(arr, store, demand, log)
+        other = decode_and_verify(arr, store, demand, copy)
+        assert report == other and repr(report) == repr(other)
+
+    @given(uneven_grids(), st.integers(1, 3), st.integers(0, 2**31 - 1))
+    def test_copied_columns_decode_alike(self, grid, files, seed):
+        arr = PdaArray(grid)
+        store = PacketStore.synthetic(files, arr.f, 4, seed=seed)
+        demand = np.random.default_rng(seed).integers(1, files + 1,
+                                                      size=arr.k)
+        self.check_copy_decodes_alike(arr, store, demand)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_copied_columns_decode_alike_degenerate(self, name):
+        arr = PdaArray.from_rows(DEGENERATE[name])
+        store = PacketStore.synthetic(arr.k, arr.f, 3, seed=2)
+        self.check_copy_decodes_alike(arr, store,
+                                      [1 + (5 * u) % arr.k
+                                       for u in range(arr.k)])
+
+    @pytest.mark.parametrize("moved", [-1, 1])
+    @pytest.mark.parametrize("slot", [1, 2, 3])
+    def test_moved_boundary_with_shared_terms_flagged(self, slot, moved):
+        store = PacketStore.synthetic(6, 6, 8, seed=4)
+        log = deliver(MN_4_2, store, [1, 2, 3, 4])
+        starts = log.starts.copy()
+        starts[slot] += moved
+        columns = [getattr(log, n) for n in simulate._COLUMNS]
+        columns[1] = starts
+        bent = TransmissionLog._of_columns(log.packet_size, *columns)
+        assert bent.cols is log.cols and bent.rows is log.rows
+        report = decode_and_verify(MN_4_2, store, [1, 2, 3, 4], bent)
+        symbol = log.symbols[slot - 1]
+        assert not report.success
+        assert report.problems == (
+            f"log entry for symbol {symbol} does not match the array",)
+
+
+class TestUserDecodeResult:
+    def test_repr_pinned(self):
+        assert repr(simulate.UserDecodeResult(1, 2, True, "ab", None, ())) \
+            == ("UserDecodeResult(user=1, demanded=2, ok=True, "
+                "expected_hash='ab', decoded_hash=None, problems=())")
+
+    def test_immutable(self):
+        result = simulate.UserDecodeResult(1, 2, True, "ab", None, ())
+        with pytest.raises(AttributeError):
+            result.ok = False
 
 
 class TestByteCap:
