@@ -19,9 +19,8 @@ from .constructions import (ConstructionParams, Family, ParamDomainError,
 from .core import (STAR, PdaArray, PdaError, PdaParams, SizeCapError,
                    VerificationReport, Violation, canonicalize, equivalent,
                    params_of, verify_pda)
-from .simulate import (DecodeReport, PacketStore, Transmission,
-                       TransmissionLog, decode_and_verify, deliver,
-                       run_simulation)
+from .simulate import (DecodeReport, PacketStore, TransmissionLog,
+                       decode_and_verify, deliver, run_simulation)
 from .textio import PdaFormatError, PdaHeader, emit, load, parse, save
 
 __version__ = "0.1.0"
@@ -44,7 +43,7 @@ __all__ = [
     "construct", "construct_general", "construct_special",
     "construct_ext_general", "construct_ext_special", "construct_mn",
     "mn_params", "standard_sweep", "theorem_params",
-    "DecodeReport", "PacketStore", "Transmission", "TransmissionLog",
+    "DecodeReport", "PacketStore", "TransmissionLog",
     "decode_and_verify", "deliver", "run_simulation",
     "ComparisonResult", "MemoryShareSpec", "SchemeMetrics", "SchemeRow",
     "compare_general", "compare_special", "enumerate_schemes",

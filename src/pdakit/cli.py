@@ -262,7 +262,8 @@ def _cmd_simulate(args) -> int:
     all_ok = True
 
     def blocks():
-        # one block per demand, written once it is decoded
+        # one block per demand, written once it is decoded; a lone
+        # demand's trace is streamed in chunks between its lines
         nonlocal all_ok
         lines = [f"seed={args.seed} N={n} packet_size={store.packet_size}"]
         for demand in demands:
@@ -271,7 +272,9 @@ def _cmd_simulate(args) -> int:
             all_ok &= report.success
             lines.append(f"demand={','.join(map(str, demand))}")
             if count == 1:
-                lines.extend(log.trace_lines())
+                yield "\n".join(lines) + "\n"
+                lines = []
+                yield from log.trace()
             lines.append(f"bytes_sent={report.bytes_sent} rate={report.rate}")
             for u in report.users:
                 status = "ok" if u.ok else "FAIL " + "; ".join(u.problems)

@@ -33,10 +33,13 @@ store's N*F*packet_size bytes and a delivery's gathered (non-star
 cells)*packet_size bytes are both held to BYTE_CAP, checked before anything
 is allocated.  A TransmissionLog is columns over that table: the slot
 symbols and term bounds and the terms themselves are the table's own
-read-only arrays, and the payloads are one flat byte array.  Its
-``transmissions`` view of Transmission objects is built only when read, for
-traces and for tests that alter a log.  A PacketStore's data is read-only,
-so each file's SHA-256 is computed once per store and remembered.
+read-only arrays, and the payloads are one flat byte array; these six
+columns are the log's only form, and its one constructor takes them.  Its
+trace is streamed from them in chunks of TRACE_BLOCK slots, each chunk
+made with one pass over the block's terms, one hex conversion of its
+payloads and one join, so the whole trace text is never held.  A
+PacketStore's data is read-only, so each file's SHA-256 is computed once
+per store and remembered.
 
 deliver and decode_and_verify gather each demand's packets once.  The
 array's cell table keeps a one-entry memo of the last gather: a weak
@@ -64,7 +67,6 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -136,19 +138,10 @@ class PacketStore:
         return digest
 
 
-@dataclass(frozen=True)
-class Transmission:
-    symbol: int
-    terms: tuple[tuple[int, int], ...]  # 1-based (user k, row j), ascending k
-    payload: bytes
-
-    def trace_line(self) -> str:
-        terms = ";".join(f"({k},{j})" for k, j in self.terms)
-        return f"s={self.symbol} terms={terms} payload={self.payload.hex()}"
-
-
-# the arrays of a TransmissionLog, in the order _of_columns takes them
+# the arrays of a TransmissionLog, in the order its constructor takes them
 _COLUMNS = ("symbols", "starts", "cols", "rows", "payload", "ends")
+# the slots in one chunk of TransmissionLog.trace
+TRACE_BLOCK = 4096
 
 
 class TransmissionLog:
@@ -156,51 +149,51 @@ class TransmissionLog:
 
     Slot i sends ``symbols[i]``; its terms are the 0-based (user, row) pairs
     (``cols[a]``, ``rows[a]``) for ``starts[i] <= a < starts[i + 1]``, and
-    its payload is ``payload[ends[i]:ends[i + 1]]``.  A delivered log shares
-    its terms with the array's cell table.  ``transmissions`` is the same
-    log as Transmission objects, built on first use; the constructor takes
-    such objects and turns them into columns once.
+    its payload is ``payload[ends[i]:ends[i + 1]]``.  The constructor takes
+    the six one-dimensional columns in that order, checks that their bounds
+    fit (ValueError otherwise) and makes them read-only; a delivered log
+    shares its terms with the array's cell table.
     """
 
-    def __init__(self, transmissions, packet_size: int):
-        sent = self.__dict__["transmissions"] = tuple(transmissions)
-        terms = np.array([kj for t in sent for kj in t.terms],
-                         dtype=np.int64).reshape(-1, 2) - 1
-        sizes = np.array([(len(t.terms), len(t.payload)) for t in sent],
-                         dtype=np.int64).reshape(-1, 2)
-        starts, ends = np.vstack(([0, 0], sizes.cumsum(axis=0))).T
-        self._set(packet_size, np.array([t.symbol for t in sent], np.int64),
-                  starts, terms[:, 0], terms[:, 1],
-                  np.frombuffer(b"".join(t.payload for t in sent), np.uint8),
-                  ends)
-
-    @classmethod
-    def _of_columns(cls, packet_size: int, *columns) -> "TransmissionLog":
-        log = cls.__new__(cls)
-        log._set(packet_size, *columns)
-        return log
-
-    def _set(self, packet_size, *columns):
+    def __init__(self, packet_size: int, symbols, starts, cols, rows,
+                 payload, ends):
+        columns = (symbols, starts, cols, rows, payload, ends)
+        if any(a.ndim != 1 for a in columns):
+            raise ValueError("log columns must be one-dimensional")
+        if not len(starts) == len(ends) == len(symbols) + 1:
+            raise ValueError("log bounds must hold one entry per slot and one "
+                             "more")
+        if not (starts[0] == ends[0] == 0 and starts[-1] == len(cols)
+                == len(rows) and ends[-1] == len(payload)):
+            raise ValueError("log bounds must run from 0 to the lengths of "
+                             "their columns")
         for a in columns:
             a.flags.writeable = False
         self.__dict__.update(zip(_COLUMNS, columns), packet_size=packet_size)
-
-    @cached_property
-    def transmissions(self) -> tuple[Transmission, ...]:
-        terms = list(zip((self.cols + 1).tolist(), (self.rows + 1).tolist()))
-        payload = self.payload.tobytes()
-        s, e = self.starts.tolist(), self.ends.tolist()
-        return tuple(
-            Transmission(symbol, tuple(terms[a:b]), payload[c:d])
-            for symbol, a, b, c, d in zip(self.symbols.tolist(), s, s[1:],
-                                          e, e[1:]))
 
     @property
     def bytes_sent(self) -> int:
         return int(self.ends[-1])
 
-    def trace_lines(self) -> list[str]:
-        return [t.trace_line() for t in self.transmissions]
+    def trace(self):
+        """The trace, one line per slot, as str chunks of TRACE_BLOCK slots:
+        ``s=<symbol> terms=(k,j);(k,j) payload=<hex>`` with 1-based user k
+        and row j."""
+        block = TRACE_BLOCK
+        for lo in range(0, self.symbols.size, block):
+            s = self.starts[lo:lo + block + 1]
+            e = self.ends[lo:lo + block + 1]
+            terms = [f"({k},{j})" for k, j in
+                     zip((self.cols[s[0]:s[-1]] + 1).tolist(),
+                         (self.rows[s[0]:s[-1]] + 1).tolist())]
+            hexed = self.payload[e[0]:e[-1]].tobytes().hex()
+            # each slot's bounds within the block's terms and hex digits
+            s, e = (s - s[0]).tolist(), (2 * (e - e[0])).tolist()
+            yield "".join(
+                f"s={symbol} terms={';'.join(terms[s[i]:s[i + 1]])} "
+                f"payload={hexed[e[i]:e[i + 1]]}\n"
+                for i, symbol in enumerate(
+                    self.symbols[lo:lo + block].tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TransmissionLog):
@@ -317,7 +310,7 @@ def deliver(arr: PdaArray, store: PacketStore, demand) -> TransmissionLog:
     """
     _, table, totals = _prepare(arr, store, demand)
     size = store.packet_size
-    return TransmissionLog._of_columns(
+    return TransmissionLog(
         size, table.symbols, table.starts, table.cols, table.rows,
         totals.reshape(-1), np.arange(table.symbols.size + 1) * size)
 

@@ -208,6 +208,55 @@ def naive_decode(rows, files, demand, payloads):
     return decoded
 
 
+def slots(log):
+    """The slots of a TransmissionLog as (symbol, terms, payload) tuples:
+    terms are 1-based (user k, row j) pairs and payload is bytes."""
+    out = []
+    for i, symbol in enumerate(log.symbols.tolist()):
+        a, b = int(log.starts[i]), int(log.starts[i + 1])
+        terms = tuple((int(k) + 1, int(j) + 1)
+                      for k, j in zip(log.cols[a:b], log.rows[a:b]))
+        out.append((symbol, terms,
+                    log.payload[log.ends[i]:log.ends[i + 1]].tobytes()))
+    return out
+
+
+def log_of(sent, packet_size: int):
+    """The TransmissionLog of (symbol, terms, payload) tuples, as slots
+    returns them, over new int64 columns."""
+    # imported here: the rest of this module runs without the package
+    from pdakit import TransmissionLog
+
+    terms = np.array([kj for _, ts, _ in sent for kj in ts],
+                     dtype=np.int64).reshape(-1, 2) - 1
+    sizes = np.array([(len(ts), len(p)) for _, ts, p in sent],
+                     dtype=np.int64).reshape(-1, 2)
+    starts, ends = np.vstack(([0, 0], sizes.cumsum(axis=0))).T
+    return TransmissionLog(
+        packet_size, np.array([s for s, _, _ in sent], dtype=np.int64),
+        starts, terms[:, 0], terms[:, 1],
+        np.frombuffer(b"".join(p for _, _, p in sent), dtype=np.uint8), ends)
+
+
+def flipped(log, slot: int, bit: int = 1):
+    """log over new columns, with the first payload byte of slot XORed by
+    bit."""
+    sent = slots(log)
+    symbol, terms, payload = sent[slot]
+    sent[slot] = (symbol, terms, bytes([payload[0] ^ bit]) + payload[1:])
+    return log_of(sent, log.packet_size)
+
+
+def naive_trace(log) -> str:
+    """The trace of a log, one line per slot in a plain loop:
+    "s=<symbol> terms=(k,j);(k,j) payload=<hex>" and a newline."""
+    lines = []
+    for symbol, terms, payload in slots(log):
+        text = ";".join(f"({k},{j})" for k, j in terms)
+        lines.append(f"s={symbol} terms={text} payload={payload.hex()}\n")
+    return "".join(lines)
+
+
 def naive_valid(rows) -> bool:
     return all(naive_check(rows))
 

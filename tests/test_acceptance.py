@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from helpers import fixture_text
+from helpers import fixture_text, slots
 from pdakit import (ConstructionParams, Family, PacketStore, construct,
                     construct_ext_general, construct_ext_special,
                     construct_general, construct_mn, construct_special,
@@ -85,8 +85,8 @@ def test_criterion_3_simulation_trace():
         store = PacketStore.synthetic(6, arr.f)
         demand = [1, 2, 3, 4]
         log = deliver(arr, store, demand)
-        term_sets = [";".join(f"({k},{j})" for k, j in t.terms)
-                     for t in log.transmissions]
+        term_sets = [";".join(f"({k},{j})" for k, j in terms)
+                     for _, terms, _ in slots(log)]
         assert term_sets == [
             "(1,4);(2,2);(3,1)",
             "(1,5);(2,3);(4,1)",

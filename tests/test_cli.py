@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from helpers import FIXTURES, fixture_text
-from pdakit import _kernels, simulate
+from pdakit import _kernels, construct_mn, save, simulate
 from pdakit.cli import main
 
 
@@ -373,6 +373,38 @@ class TestSimulate:
         with open(target, encoding="ascii") as fh:
             assert sum(line == "decode=ok\n" for line in fh) == 10000
         assert many <= few + (1 << 17)
+
+    def test_trace_streamed(self, tmp_path, monkeypatch):
+        # the trace of mn(60, 1), 1770 slots of 1 KB payloads from one
+        # 60 KB file, is written in blocks of 8 slots
+        path, target = tmp_path / "mn.pda", tmp_path / "out.txt"
+        save(construct_mn(60, 1), path)
+        argv = ["simulate", str(path), "--files", "1", "--packet-size",
+                "1024", "--out", str(target)]
+        monkeypatch.setattr(simulate, "TRACE_BLOCK", 8)
+        trace, held = simulate.TransmissionLog.trace, []
+
+        def measured(log):
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            yield from trace(log)
+
+        monkeypatch.setattr(simulate.TransmissionLog, "trace", measured)
+        assert main(argv) == 0  # first use: imports and caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        store, payload = 60 * 1024, 1770 * 1024
+        text = target.stat().st_size
+        block = 8 * text // 1770
+        assert text > 30 * store
+        # past the store and the payload, nothing trace-sized is held when
+        # the trace starts, and a few blocks are made while it is written
+        assert held[-1] - store - payload < text // 8
+        assert peak - held[-1] < 8 * block
 
     def test_deterministic_output(self, capsys):
         args = ("simulate", str(FIXTURES / "special_q3_z2_m2.pda"),

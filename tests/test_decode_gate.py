@@ -14,31 +14,27 @@ import hashlib
 
 import numpy as np
 
-from pdakit import (PacketStore, PdaArray, Transmission, TransmissionLog,
-                    construct, decode_and_verify, deliver, standard_sweep)
+from helpers import flipped, log_of, slots
+from pdakit import (PacketStore, PdaArray, TransmissionLog, construct,
+                    decode_and_verify, deliver, standard_sweep)
 
 
 def altered_logs(log: TransmissionLog, longer: TransmissionLog):
-    sent = log.transmissions
+    sent = slots(log)
     size = log.packet_size
     yield "honest", log
     if sent:
         mid = len(sent) // 2
-        t = sent[mid]
-        flipped = Transmission(t.symbol, t.terms,
-                               bytes([t.payload[0] ^ 1]) + t.payload[1:])
-        yield "flip", TransmissionLog(
-            sent[:mid] + (flipped,) + sent[mid + 1:], size)
-        short = Transmission(t.symbol, t.terms, t.payload[:-1])
-        yield "short", TransmissionLog(
-            sent[:mid] + (short,) + sent[mid + 1:], size)
-    yield "reversed", TransmissionLog(sent[::-1], size)
-    yield "dropped", TransmissionLog(sent[:-1], size)
-    for i, t in enumerate(sent):
-        if len(t.terms) > 1:
-            swapped = Transmission(t.symbol, t.terms[::-1], t.payload)
-            yield "terms", TransmissionLog(
-                sent[:i] + (swapped,) + sent[i + 1:], size)
+        yield "flip", flipped(log, mid)
+        symbol, terms, payload = sent[mid]
+        short = (symbol, terms, payload[:-1])
+        yield "short", log_of(sent[:mid] + [short] + sent[mid + 1:], size)
+    yield "reversed", log_of(sent[::-1], size)
+    yield "dropped", log_of(sent[:-1], size)
+    for i, (symbol, terms, payload) in enumerate(sent):
+        if len(terms) > 1:
+            swapped = (symbol, terms[::-1], payload)
+            yield "terms", log_of(sent[:i] + [swapped] + sent[i + 1:], size)
             break
     yield "size", longer
 
@@ -69,11 +65,10 @@ def sweep_lines(max_cells: int = 20000, seed: int = 7):
         store = PacketStore.synthetic(arr.k, arr.f, 4, seed=p.q * 100 + p.z)
         demand = [int(x) for x in rng.integers(1, arr.k + 1, size=arr.k)]
         log = deliver(arr, store, demand)
-        sent = log.transmissions
-        last = sent[-1]
-        zeroed = TransmissionLog(sent[:-1] + (Transmission(
-            last.symbol, last.terms, bytes(len(last.payload))),),
-            log.packet_size)
+        sent = slots(log)
+        symbol, terms, payload = sent[-1]
+        zeroed = log_of(sent[:-1] + [(symbol, terms, bytes(len(payload)))],
+                        log.packet_size)
         for name, altered in (("honest", log), ("zeroed", zeroed)):
             report = decode_and_verify(arr, store, demand, altered)
             yield (f"{family.value} {(p.q, p.z, p.m, p.t)} {demand} {name} "

@@ -5,10 +5,10 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import (naive_c2, naive_check, naive_equivalent,
-                     reference_pair_scan)
+from helpers import (log_of, naive_c2, naive_check, naive_equivalent,
+                     reference_pair_scan, slots)
 from pdakit import (STAR, ConstructionParams, PacketStore, PdaArray,
-                    Transmission, TransmissionLog, _kernels, canonicalize,
+                    _kernels, canonicalize,
                     construct, core, decode_and_verify, deliver, emit,
                     equivalent, params_of, parse, run_simulation,
                     standard_sweep, theorem_params, verify_pda)
@@ -204,13 +204,12 @@ def test_log_check_matches_slot_loop(cells, edits):
     arr = as_array(cells)
     store = PacketStore.synthetic(2, arr.f, 3, seed=0)
     demand = [1 + u % 2 for u in range(arr.k)]
-    honest = deliver(arr, store, demand).transmissions
+    honest = slots(deliver(arr, store, demand))
     sent = list(honest)
     for i, kind in edits:
         if not sent:
             break
-        t = sent[i % len(sent)]
-        terms, payload = t.terms, t.payload
+        symbol, terms, payload = sent[i % len(sent)]
         if kind == "drop":
             terms = terms[:-1]
         elif kind == "extra":
@@ -221,14 +220,14 @@ def test_log_check_matches_slot_loop(cells, edits):
                 if terms else terms
         else:
             payload = payload[:-1]
-        sent[i % len(sent)] = Transmission(t.symbol, terms, payload)
+        sent[i % len(sent)] = (symbol, terms, payload)
     want = []
-    for t, h in zip(sent, honest):
-        if t.terms != h.terms or len(t.payload) != store.packet_size:
-            want.append(f"log entry for symbol {t.symbol} "
+    for (symbol, terms, payload), (_, honest_terms, _) in zip(sent, honest):
+        if terms != honest_terms or len(payload) != store.packet_size:
+            want.append(f"log entry for symbol {symbol} "
                         "does not match the array")
             break
-    log = TransmissionLog(sent, store.packet_size)
+    log = log_of(sent, store.packet_size)
     assert decode_and_verify(arr, store, demand, log).problems == tuple(want)
 
 

@@ -5,14 +5,16 @@ import hashlib
 import tracemalloc
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import fixture_text, naive_decode, naive_deliver
+from helpers import (fixture_text, flipped, log_of, naive_decode,
+                     naive_deliver, naive_trace, slots)
 from pdakit import (ConstructionParams, Family, PacketStore, PdaArray,
-                    SizeCapError, Transmission, TransmissionLog, _kernels,
+                    SizeCapError, TransmissionLog, _kernels,
                     construct_ext_general, construct_general, construct_mn,
                     construct_special, decode_and_verify, deliver, parse,
                     run_simulation, simulate, theorem_params, verify_pda)
@@ -88,17 +90,14 @@ class TestDeliver:
     def test_two_user_payload_bytes(self):
         store = PacketStore.synthetic(2, 2, 8, seed=1)
         log = deliver(TWO_USER, store, [1, 2])
-        assert len(log.transmissions) == 1
-        t = log.transmissions[0]
-        assert t.terms == ((1, 2), (2, 1))
         want = xor(store.packet(1, 2), store.packet(2, 1))
-        assert t.payload == want.tobytes()
+        assert slots(log) == [(1, ((1, 2), (2, 1)), want.tobytes())]
 
     def test_known_trace(self):
         store = PacketStore.synthetic(6, 6)
         log = deliver(MN_4_2, store, [1, 2, 3, 4])
-        terms = ["terms=" + ";".join(f"({k},{j})" for k, j in t.terms)
-                 for t in log.transmissions]
+        terms = ["terms=" + ";".join(f"({k},{j})" for k, j in ts)
+                 for _, ts, _ in slots(log)]
         assert terms == [
             "terms=(1,4);(2,2);(3,1)",
             "terms=(1,5);(2,3);(4,1)",
@@ -107,7 +106,7 @@ class TestDeliver:
         ]
         # payload of slot 1 is W[1,4] ^ W[2,2] ^ W[3,1]
         want = xor(store.packet(1, 4), store.packet(2, 2), store.packet(3, 1))
-        assert log.transmissions[0].payload == want.tobytes()
+        assert slots(log)[0][2] == want.tobytes()
         assert log.bytes_sent == 4 * store.packet_size
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 6, 8, 12, 256])
@@ -116,15 +115,15 @@ class TestDeliver:
         store = PacketStore.synthetic(6, 6, size, seed=size)
         demand = [3, 1, 6, 3]
         log = deliver(MN_4_2, store, demand)
-        for t in log.transmissions:
-            want = xor(*(store.packet(demand[k - 1], j) for k, j in t.terms))
-            assert t.payload == want.tobytes()
+        for _, terms, payload in slots(log):
+            want = xor(*(store.packet(demand[k - 1], j) for k, j in terms))
+            assert payload == want.tobytes()
 
     def test_payload_count_and_order(self):
         arr = construct_special(3, 2, 2)
         store = PacketStore.synthetic(9, arr.f)
         log = deliver(arr, store, list(range(1, 10)))
-        assert [t.symbol for t in log.transmissions] == list(range(1, 10))
+        assert [s for s, _, _ in slots(log)] == list(range(1, 10))
 
     def test_demand_validation(self):
         store = PacketStore.synthetic(6, 6)
@@ -167,7 +166,7 @@ class TestDeliver:
     def test_trace_line_format(self):
         store = PacketStore.synthetic(2, 2, 2, seed=0)
         log = deliver(TWO_USER, store, [1, 2])
-        line = log.trace_lines()[0]
+        (line,) = "".join(log.trace()).splitlines()
         assert line.startswith("s=1 terms=(1,2);(2,1) payload=")
         assert len(line.split("payload=")[1]) == 4  # 2 bytes in hex
 
@@ -216,11 +215,7 @@ class TestDecode:
     def test_tampered_payload_detected(self):
         store = PacketStore.synthetic(6, 6)
         log = deliver(MN_4_2, store, [1, 2, 3, 4])
-        t0 = log.transmissions[0]
-        flipped = bytes([t0.payload[0] ^ 1]) + t0.payload[1:]
-        tampered = type(log)(
-            (type(t0)(t0.symbol, t0.terms, flipped),) + log.transmissions[1:],
-            log.packet_size)
+        tampered = flipped(log, 0)
         report = decode_and_verify(MN_4_2, store, [1, 2, 3, 4], tampered)
         assert not report.success
 
@@ -229,24 +224,21 @@ class TestDecode:
         store = PacketStore.synthetic(6, 6, size, seed=11)
         demand = [2, 5, 2, 6]
         log = deliver(MN_4_2, store, demand)
-        sent = list(log.transmissions)
-        t = sent[1]
-        sent[1] = type(t)(t.symbol, t.terms,
-                          bytes([t.payload[0] ^ 0x80]) + t.payload[1:])
-        tampered = type(log)(tuple(sent), log.packet_size)
+        tampered = flipped(log, 1, 0x80)
         report = decode_and_verify(MN_4_2, store, demand, tampered)
         # each decoded row is the payload XOR the other terms' originals;
         # star rows are the user's own copies
         files = [store.data[i - 1].copy() for i in demand]
-        for slot in tampered.transmissions:
-            payload = np.frombuffer(slot.payload, dtype=np.uint8)
-            for k, j in slot.terms:
+        for _, terms, payload in slots(tampered):
+            payload = np.frombuffer(payload, dtype=np.uint8)
+            for k, j in terms:
                 others = [store.packet(demand[k2 - 1], j2)
-                          for k2, j2 in slot.terms if k2 != k]
+                          for k2, j2 in terms if k2 != k]
                 files[k - 1][j - 1] = xor(payload, *others)
+        bent = {k for k, _ in slots(log)[1][1]}
         for u, got in zip(report.users, files):
             assert u.decoded_hash == hashlib.sha256(got.tobytes()).hexdigest()
-            assert u.ok == (u.user not in {k for k, _ in t.terms})
+            assert u.ok == (u.user not in bent)
 
     def test_log_from_other_array_flagged(self):
         store = PacketStore.synthetic(6, 6)
@@ -259,8 +251,8 @@ class TestDecode:
     def test_repeated_slot_flagged(self):
         store = PacketStore.synthetic(6, 6)
         log = deliver(MN_4_2, store, [1, 2, 3, 4])
-        repeated = type(log)(log.transmissions + log.transmissions[:1],
-                             log.packet_size)
+        sent = slots(log)
+        repeated = log_of(sent + sent[:1], log.packet_size)
         report = decode_and_verify(MN_4_2, store, [1, 2, 3, 4], repeated)
         assert not report.success
         assert report.problems == ("log symbols do not match the array",)
@@ -273,11 +265,7 @@ class TestDecode:
         store = PacketStore.synthetic(6, 6, 8, seed=2)
         demand = [2, 1, 6, 2]
         log = deliver(MN_4_2, store, demand)
-        t = log.transmissions[2]
-        flipped = type(log)(log.transmissions[:2] + (type(t)(
-            t.symbol, t.terms, bytes([t.payload[0] ^ 4]) + t.payload[1:]),)
-            + log.transmissions[3:], log.packet_size)
-        logs = (log, flipped, log)
+        logs = (log, flipped(log, 2, 4), log)
         shared = [decode_and_verify(MN_4_2, store, demand, x) for x in logs]
         fresh = [decode_and_verify(PdaArray(MN_4_2.grid.copy()), store,
                                    demand, x) for x in logs]
@@ -304,14 +292,6 @@ class TestDecode:
 
 
 class TestColumns:
-    def test_no_transmission_objects_built(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("Transmission built")
-        monkeypatch.setattr(simulate, "Transmission", refuse)
-        for arr in (PdaArray(MN_4_2.grid), construct_ext_general(3, 2, 3, 2)):
-            store = PacketStore.synthetic(arr.k, arr.f, 8, seed=1)
-            assert run_simulation(arr, store, range(1, arr.k + 1)).success
-
     def test_pair_scan_runs_once_per_array(self, monkeypatch):
         calls = []
         scan = _kernels.c3_pair_scan
@@ -350,14 +330,33 @@ class TestColumns:
             owner = simulate._cell_table(arr).gathered[2]()
             assert np.shares_memory(owner, log.payload)
 
-    def test_object_view_round_trips(self):
+    def test_slot_tuples_round_trip(self):
         store = PacketStore.synthetic(6, 6, 4, seed=9)
         log = deliver(MN_4_2, store, [4, 1, 1, 6])
-        again = TransmissionLog(log.transmissions, log.packet_size)
+        again = log_of(slots(log), log.packet_size)
         assert again == log
-        assert again.trace_lines() == log.trace_lines()
+        assert "".join(again.trace()) == "".join(log.trace())
         assert np.array_equal(again.cols, log.cols)
-        assert TransmissionLog(log.transmissions[1:], 4) != log
+        assert log_of(slots(log)[1:], 4) != log
+
+    @pytest.mark.parametrize("name, change, why", [
+        ("payload", lambda a: a.reshape(-1, 4), "one-dimensional"),
+        ("symbols", lambda a: a[0], "one-dimensional"),
+        ("starts", lambda a: a[:-1], "one entry per slot"),
+        ("ends", lambda a: np.append(a, a[-1]), "one entry per slot"),
+        ("symbols", lambda a: a[1:], "one entry per slot"),
+        ("starts", lambda a: np.append(1, a[1:]), "run from 0"),
+        ("ends", lambda a: np.append(1, a[1:]), "run from 0"),
+        ("cols", lambda a: a[:-1], "run from 0"),
+        ("rows", lambda a: a[:-1], "run from 0"),
+        ("payload", lambda a: a[:-1], "run from 0"),
+    ])
+    def test_inconsistent_columns_refused(self, name, change, why):
+        log = deliver(MN_4_2, PacketStore.synthetic(6, 6, 4), [1, 2, 3, 4])
+        columns = {n: getattr(log, n) for n in simulate._COLUMNS}
+        columns[name] = change(columns[name])
+        with pytest.raises(ValueError, match=why):
+            TransmissionLog(log.packet_size, *columns.values())
 
     def test_log_differs_from_other_types(self):
         log = deliver(MN_4_2, PacketStore.synthetic(6, 6, 4), [1, 2, 3, 4])
@@ -406,10 +405,10 @@ class TestXorByDegree:
         symbols = sorted(set(grid[grid != 0].tolist()))
         assert log.symbols.tolist() == symbols
         assert log.bytes_sent == len(symbols) * size
-        for t in log.transmissions:
-            want = xor(*(store.packet(demand[k - 1], j) for k, j in t.terms))
-            assert t.payload == want.tobytes()
-            assert len(t.terms) == (grid == t.symbol).sum()
+        for symbol, terms, payload in slots(log):
+            want = xor(*(store.packet(demand[k - 1], j) for k, j in terms))
+            assert payload == want.tobytes()
+            assert len(terms) == (grid == symbol).sum()
         assert decode_and_verify(arr, store, demand, log).problems == ()
 
     @given(uneven_grids())
@@ -452,15 +451,6 @@ class TestXorByDegree:
         assert cells.tolist() == [5, 3, 4, 6, 7, 0, 1, 2]
 
 
-def _flipped(log: TransmissionLog, slot: int) -> TransmissionLog:
-    """log with the first byte of slot's payload flipped."""
-    sent = list(log.transmissions)
-    t = sent[slot]
-    sent[slot] = Transmission(t.symbol, t.terms,
-                              bytes([t.payload[0] ^ 1]) + t.payload[1:])
-    return TransmissionLog(sent, log.packet_size)
-
-
 class TestGatherMemo:
     """deliver and decode_and_verify share one gather per (array, store,
     demand) while the delivered payload lives."""
@@ -500,7 +490,7 @@ class TestGatherMemo:
             store = recorded(plain, shapes)
         else:
             # same bytes, but the delivered payload is gone
-            copy = TransmissionLog(log.transmissions, log.packet_size)
+            copy = log_of(slots(log), log.packet_size)
             del log
             gc.collect()
             log = copy
@@ -533,13 +523,13 @@ class TestGatherMemo:
         log = deliver(arr, store, demand)
         if not log.symbols.size:
             return
-        flipped = _flipped(log, data.draw(st.integers(0, log.symbols.size
+        tampered = flipped(log, data.draw(st.integers(0, log.symbols.size
                                                       - 1)))
         shapes.clear()
-        report = decode_and_verify(arr, store, demand, flipped)
+        report = decode_and_verify(arr, store, demand, tampered)
         assert shapes == [] and not report.success
         assert report == decode_and_verify(PdaArray(grid), store, demand,
-                                           flipped)
+                                           tampered)
 
 
 def _stacked(*grids):
@@ -577,6 +567,26 @@ DEGENERATE = {
 }
 
 
+def degenerate_grids():
+    return st.sampled_from(sorted(DEGENERATE)).map(
+        lambda name: PdaArray.from_rows(DEGENERATE[name]).grid)
+
+
+class TestTrace:
+    @given(st.one_of(uneven_grids(), degenerate_grids()),
+           st.sampled_from([1, 3, 8, 256]), st.sampled_from([1, 2, None]),
+           st.integers(0, 2**31 - 1))
+    def test_trace_matches_naive_loop(self, grid, size, block, seed):
+        # block None: one chunk holds every slot
+        arr = PdaArray(grid)
+        store = PacketStore.synthetic(3, arr.f, size, seed=seed)
+        demand = np.random.default_rng(seed).integers(1, 4, size=arr.k)
+        log = deliver(arr, store, demand)
+        block = log.symbols.size + 1 if block is None else block
+        with mock.patch.object(simulate, "TRACE_BLOCK", block):
+            assert "".join(log.trace()) == naive_trace(log)
+
+
 class TestDegenerateClasses:
     @pytest.mark.parametrize("size", [1, 3, 8, 256])
     @pytest.mark.parametrize("name", sorted(DEGENERATE))
@@ -589,7 +599,7 @@ class TestDegenerateClasses:
         files = [[p.tobytes() for p in file] for file in store.data]
         want = naive_deliver(rows, files, demand)
         log = deliver(arr, store, demand)
-        assert {t.symbol: t.payload for t in log.transmissions} == want
+        assert {s: p for s, _, p in slots(log)} == want
         assert log.symbols.tolist() == sorted(want)
         report = decode_and_verify(arr, store, demand, log)
         assert report.success and report.problems == ()
@@ -609,9 +619,8 @@ class TestDegenerateClasses:
         payloads = naive_deliver(rows, files, demand)
         # symbol 1 is the wide slot: every user holds one of its terms
         payloads[1] = bytes([payloads[1][0] ^ 1]) + payloads[1][1:]
-        log = TransmissionLog(
-            [Transmission(t.symbol, t.terms, payloads[t.symbol])
-             for t in deliver(arr, store, demand).transmissions], size)
+        log = log_of([(s, terms, payloads[s]) for s, terms, _ in
+                      slots(deliver(arr, store, demand))], size)
         report = decode_and_verify(arr, store, demand, log)
         assert not report.success and report.problems == ()
         for u, got in zip(report.users, naive_decode(rows, files, demand,
@@ -622,7 +631,7 @@ class TestDegenerateClasses:
 
 def _copied(log: TransmissionLog) -> TransmissionLog:
     """log over copies of all six of its columns."""
-    return TransmissionLog._of_columns(
+    return TransmissionLog(
         log.packet_size, *(getattr(log, n).copy() for n in simulate._COLUMNS))
 
 
@@ -664,7 +673,7 @@ class TestDeliveredLogShortcut:
         starts[slot] += moved
         columns = [getattr(log, n) for n in simulate._COLUMNS]
         columns[1] = starts
-        bent = TransmissionLog._of_columns(log.packet_size, *columns)
+        bent = TransmissionLog(log.packet_size, *columns)
         assert bent.cols is log.cols and bent.rows is log.rows
         report = decode_and_verify(MN_4_2, store, [1, 2, 3, 4], bent)
         symbol = log.symbols[slot - 1]
