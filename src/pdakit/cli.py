@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, constructions, simulate, textio
+from . import analysis, constructions, core, simulate, textio
 from .constructions import ConstructionParams, Family, ParamDomainError
 from .core import SizeCapError, canonicalize, params_of, verify_pda
 from .textio import PdaFormatError, _quoted, _too_long
@@ -245,6 +245,13 @@ def _cmd_simulate(args) -> int:
         return EXIT_USAGE
     arr, _ = textio.load_with_header(args.path)
     k = arr.k
+    if args.random_demands is not None:
+        # refused before the store is made or a demand drawn
+        core._check_cap(args.random_demands
+                        * (np.count_nonzero(arr.grid) + k),
+                        core.DEMAND_WORK_CAP,
+                        "the random demands would work through {} cells "
+                        "and users")
     n = args.files if args.files is not None else k
     store = simulate.PacketStore.synthetic(n, arr.f, args.packet_size,
                                            args.seed)

@@ -24,9 +24,10 @@ The size limits live here, and each refuses through the one check
 _check_cap, which raises SizeCapError: CELL_CAP bounds the cells of an array
 that construct builds or a .pda header declares, and the users of an
 enumerate target; C3_WORK_CAP bounds the cross cells the C3 pair scan
-gathers.  simulate keeps its BYTE_CAP on packet bytes and passes it to the
-same check.  SYMBOL_MAX, the int32 bound on a symbol, is a format limit: a
-larger symbol is malformed input.
+gathers; DEMAND_WORK_CAP bounds the demands of a random-demands run times
+the non-star cells and users of its array.  simulate keeps its BYTE_CAP on
+packet bytes and passes it to the same check.  SYMBOL_MAX, the int32 bound
+on a symbol, is a format limit: a larger symbol is malformed input.
 
 One rule bounds every list a report makes, here and in the decoder's cache
 audit: a list names at most LISTED entries and closes with one entry that
@@ -56,6 +57,9 @@ CELL_CAP = 10_000_000
 # the most cross cells, sum of g^2 over symbols of g cells, the C3 pair
 # scan gathers; the heaviest array construct writes needs about 1.98e8
 C3_WORK_CAP = 1 << 30
+# the most demands * (non-star cells + K) one `pda simulate --random-demands`
+# run works through: twice CELL_CAP admits one demand on any array
+DEMAND_WORK_CAP = 2 * CELL_CAP
 
 # Python refuses by default to write an int of more than 4300 digits as
 # text, so counts from here up are written as a bound.  Exact closed forms

@@ -26,9 +26,11 @@ them.  The table groups the slots by degree g, their term count (every
 constructed array has a single degree), and the n slots of a degree are
 worked term-major: their store rows form a C-contiguous (g, n) index whose
 row a holds term a of every slot, and each take reads the next ceil(g / n)
-rows, XORs them and XORs the result into the n slots' running payloads.
-That is at most min(g, n) takes per degree, none larger than n + g
-packets, so a delivery never holds all its gathered packets at once.  A
+rows, XORs them and XORs the result into the n slots' running payloads;
+the first take of a degree writes those payloads.  That is at most
+min(g, n) takes per degree, none larger than n + g packets, and each taken
+block is dropped before the next take, so a delivery holds at most one
+block besides its payloads, never all its gathered packets at once.  A
 store's N*F*packet_size bytes and a delivery's gathered (non-star
 cells)*packet_size bytes are both held to BYTE_CAP, checked before anything
 is allocated.  A TransmissionLog is columns over that table: the slot
@@ -47,14 +49,16 @@ reference to the store, the demand as int64 bytes and a weak reference to
 the read-only array that owns the slot XORs, which a delivered log's
 payload is a view of.  While that payload lives, a call with the same
 store object and an equal demand reads the XORs from it; the memo keeps
-neither the store nor the payload alive.  decode_and_verify still compares
-the log byte for byte with those XORs, so a tampered log fails as before.
+neither the store nor the payload alive.
 
 Per demand, decode_and_verify does only the demand's work.  A delivered
 log's term users, rows and bounds are the cell table's own arrays, so when
 the log holds those very arrays (an ``is`` test) their comparison with the
-table is skipped: an array equals itself, so the skip is exact.  Its
-symbols and payload bounds are still compared.  The cache audit runs only
+table is skipped, and when its payload is the memo owner's own bytes (the
+same owner, data pointer and size) its comparison with the XORs is
+skipped too: an array equals itself, so both skips are exact.  Its symbols
+and payload bounds are still compared, and any other log, a copy or a
+tampered log included, is compared byte for byte.  The cache audit runs only
 when the array has C3 faults, the users that decode wrongly are looked up
 only when some slot's payload differs, and a user's result is a
 UserDecodeResult named tuple.
@@ -68,6 +72,7 @@ import operator
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -232,15 +237,16 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
     (SizeCapError), and returns the demand as int64, the array's cell table
     and the (S, packet_size) XOR of each slot's packets.  Each degree
     class of n slots of degree g is worked term by term: its cells' store
-    rows form a C-contiguous (g, n) index, built straight from the table's
-    columns, whose row a holds term a of each of the n slots.  Each take
-    reads b = ceil(g / n) of its rows, whose packets are XORed over the b
-    terms and into the class's n accumulated rows.  So a class costs at
-    most min(g, n) takes, and no
-    take holds more than n + g packets: the (cells, packet_size) block of
-    all gathered packets is never built.  When the slots have several
-    degrees, the XORs come out in class order and are put back in slot
-    order.
+    rows form a C-contiguous (g, n) index, built slot-major from the
+    table's columns and transposed once, whose row a holds term a of each
+    of the n slots.  Each take reads b = ceil(g / n) of its rows, whose
+    packets are XORed over the b terms; the first take writes the class's
+    n rows of the XORs, and each later one is XORed into them.  So a class
+    costs at most min(g, n) takes, no take holds more than n + g packets,
+    and no block is still held when the next is taken: the (cells,
+    packet_size) block of all gathered packets is never built, and the
+    XORs need no zeroing.  When the slots have several degrees, the XORs
+    come out in class order and are put back in slot order.
 
     The (S, words) XORs are owned by one read-only array, remembered in
     the table's ``gathered`` memo as (weak reference to the store, demand
@@ -253,7 +259,7 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
         raise ValueError(
             f"store holds {store.f} packets per file, array has F={arr.f} rows")
     try:
-        d = [operator.index(i) for i in demand]
+        d = list(map(operator.index, demand))
     except TypeError:
         raise ValueError("demand entries must be integers") from None
     if len(d) != arr.k:
@@ -275,23 +281,28 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
     # XOR whole machine words, the widest that divides a packet
     words = store.data.reshape(-1, store.packet_size).view(
         f"u{math.gcd(store.packet_size, 8)}")
-    totals = np.zeros((table.symbols.size, words.shape[1]), words.dtype)
+    # every row is written by the first take of its class
+    totals = np.empty((table.symbols.size, words.shape[1]), words.dtype)
+    # cell (j, k) reads row (d_k - 1) F + j of the (N F, packet_size) view
+    base = (d - 1) * arr.f
     for g, in_slots, in_cells in classes:
         if cells is not None:
             in_cells = cells[in_cells]
-        # row a holds term a of each of the class's n slots: cell (j, k)
-        # reads row (d_k - 1) F + j of the (N F, packet_size) view
-        terms = d.take(table.cols[in_cells].reshape(-1, g).T)
-        terms -= 1
-        terms *= arr.f
-        terms += table.rows[in_cells].reshape(-1, g).T
+        # indexing, not take: take copies a read-only index first, and the
+        # table's columns are read-only
+        terms = base[table.cols[in_cells]]
+        terms += table.rows[in_cells]
+        # row a holds term a of each of the class's n slots
+        terms = np.ascontiguousarray(terms.reshape(-1, g).T)
         # b rows per take keep each take within n + g packets and the loop
-        # within min(g, n) takes
+        # within min(g, n) takes; no take is still bound when the next
+        # one is made
         b = -(-g // terms.shape[1])
         acc = totals[in_slots]
-        for a in range(0, g, b):
-            block = words.take(terms[a:a + b], axis=0)
-            acc ^= np.bitwise_xor.reduce(block) if b > 1 else block[0]
+        np.bitwise_xor.reduce(words.take(terms[:b], axis=0), axis=0, out=acc)
+        for a in range(b, g, b):
+            acc ^= (np.bitwise_xor.reduce(words.take(terms[a:a + b], axis=0))
+                    if b > 1 else words.take(terms[a:a + 1], axis=0)[0])
     if slots is not None:
         unsorted = np.empty_like(totals)
         unsorted[slots] = totals
@@ -305,8 +316,8 @@ def deliver(arr: PdaArray, store: PacketStore, demand) -> TransmissionLog:
     """Broadcast one XOR payload per symbol, ascending symbol order.
 
     The payload is a read-only view of _prepare's XORs, so while the log
-    lives, decode_and_verify for the same store and demand does not gather
-    them again.
+    lives, decode_and_verify for the same store and demand neither gathers
+    them again nor compares the payload with them.
     """
     _, table, totals = _prepare(arr, store, demand)
     size = store.packet_size
@@ -335,15 +346,16 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     with each of the user's rows XORed by its slot's rest_s.  The store
     hashes each demanded file once.  While the log that deliver returned
     for this store object and demand lives, the p_s XORs are read from
-    _prepare's memo, which holds them weakly, instead of gathered again;
-    either way the log's payload is compared with them byte for byte.
+    _prepare's memo, which holds them weakly, instead of gathered again.
 
     The log's symbols and payload bounds are always compared with the
     array.  Its term users, rows and bounds are compared only when they are
-    not the cell table's own arrays; a delivered log holds those very
-    arrays, and an array equals itself.  The audit runs only when the
-    array has C3 faults, and ``success`` is read from the same flags as
-    the users' ``ok``.
+    not the cell table's own arrays, and its payload is compared with the
+    p_s XORs only when it is not their own bytes: the same owner array,
+    data pointer, size and dtype, contiguous.  A delivered log holds those
+    very arrays and bytes, and an array equals itself.  The audit runs
+    only when the array has C3 faults, and ``success`` is read from the
+    same flags as the users' ``ok``.
     """
     d, table, totals = _prepare(arr, store, demand)
     rows, cols, symbols = table.rows, table.cols, table.symbols
@@ -415,34 +427,47 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
 
     decodable = not global_problems
     wrong: set[int] = set()
-    if decodable:
-        rest = log.payload.reshape(totals.shape) ^ totals
+    payload = log.payload
+    # a payload that is the memo owner's own bytes equals them
+    if decodable and not (
+            payload.base is totals.base and payload.dtype == totals.dtype
+            and payload.size == totals.size and payload.flags.c_contiguous
+            and payload.ctypes.data == totals.ctypes.data):
+        rest = payload.reshape(totals.shape) ^ totals
         differs = rest.any(axis=1)
         if differs.any():
             wrong = set(cols[differs[table.slot_of]].tolist())
 
     hashes = {i: store.file_hash(i) for i in set(demanded)}
-    users = []
-    for u, i in enumerate(demanded):
-        expected = hashes[i]
-        problems = user_problems.get(u)
-        if problems or not decodable:
-            users.append(UserDecodeResult(u + 1, i, False, expected, None,
-                                          tuple(problems or ())))
-        elif u in wrong:
-            mine = cols == u
-            got = store.data[i - 1].copy()
-            got[rows[mine]] ^= rest[table.slot_of[mine]]
-            users.append(UserDecodeResult(
-                u + 1, i, False, expected,
-                hashlib.sha256(got.tobytes()).hexdigest(),
-                (f"decoded file differs from file {i}",)))
-        else:
-            users.append(UserDecodeResult(u + 1, i, True, expected, expected,
-                                          ()))
+    success = decodable and not user_problems and not wrong
+    if success:
+        # every user decodes its own file exactly
+        digests = list(map(hashes.get, demanded))
+        users = list(map(UserDecodeResult._make, zip(
+            range(1, arr.k + 1), demanded, repeat(True), digests, digests,
+            repeat(()))))
+    else:
+        users = []
+        for u, i in enumerate(demanded):
+            expected = hashes[i]
+            problems = user_problems.get(u)
+            if problems or not decodable:
+                users.append(UserDecodeResult(u + 1, i, False, expected,
+                                              None, tuple(problems or ())))
+            elif u in wrong:
+                mine = cols == u
+                got = store.data[i - 1].copy()
+                got[rows[mine]] ^= rest[table.slot_of[mine]]
+                users.append(UserDecodeResult(
+                    u + 1, i, False, expected,
+                    hashlib.sha256(got.tobytes()).hexdigest(),
+                    (f"decoded file differs from file {i}",)))
+            else:
+                users.append(UserDecodeResult(u + 1, i, True, expected,
+                                              expected, ()))
 
     return DecodeReport(
-        success=decodable and not user_problems and not wrong,
+        success=success,
         users=tuple(users),
         problems=tuple(global_problems),
         bytes_sent=log.bytes_sent,

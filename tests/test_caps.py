@@ -17,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 import pdakit
 from helpers import c3_heavy_text
-from pdakit import (PacketStore, SizeCapError, _kernels, construct_general,
-                    construct_mn, decode_and_verify, deliver,
+from pdakit import (PacketStore, SizeCapError, _kernels,
+                    construct_ext_general, construct_general, construct_mn,
+                    construct_special, decode_and_verify, deliver,
                     enumerate_schemes, parse, simulate, verify_pda)
 from pdakit import analysis, core
 from pdakit.cli import main
@@ -318,3 +319,46 @@ def test_verify_of_fuzzed_fixture_ends_in_an_exit_code(data, edits):
             code = main(["verify", str(path)])
     assert code in (0, 1, 2, 3)
     assert len(err.getvalue().encode()) < 1024
+
+
+class TestDemandWorkCap:
+    # mn(4, 2) has 12 non-star cells and 4 users: 16 per demand
+
+    def test_cap_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(core, "DEMAND_WORK_CAP", 48)
+        assert main(["simulate", FIXTURE, "--random-demands", "3"]) == 0
+        assert capsys.readouterr().out.count("decode=ok") == 3
+        code = main(["simulate", FIXTURE, "--random-demands", "4"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == ("too large: the random demands would work "
+                                "through 64 cells and users, above the cap "
+                                "of 48\n")
+
+    def test_huge_count_exits_3_before_store_and_draws(self, monkeypatch,
+                                                       capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("store made or demand drawn")
+        monkeypatch.setattr(PacketStore, "synthetic", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        start = time.perf_counter()
+        code = main(["simulate", FIXTURE, "--random-demands", "10" * 6])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 2
+        assert (code, captured.out) == (3, "")
+        assert captured.err == ("too large: the random demands would work "
+                                "through 1616161616160 cells and users, "
+                                "above the cap of 20000000\n")
+
+    def test_cap_admits_every_ci_run(self):
+        runs = [
+            (parse(Path(FIXTURE).read_text()), 10000),
+            (construct_special(3, 2, 2), 200),
+            (construct_mn(24, 4), 2),
+            (construct_ext_general(5, 3, 4, 2), 20),
+        ]
+        for arr, count in runs:
+            work = count * (np.count_nonzero(arr.grid) + arr.k)
+            assert work <= core.DEMAND_WORK_CAP
+        # one demand on any array: at most CELL_CAP cells and CELL_CAP users
+        assert 2 * core.CELL_CAP <= core.DEMAND_WORK_CAP

@@ -435,6 +435,22 @@ class TestXorByDegree:
             assert read == g and takes <= min(g, n)
         assert shapes == []
 
+    def test_one_take_block_alive(self):
+        # mn(60, 1): one class of 1770 slots of degree 2, read in two takes
+        # of 1770 packets of 1 KB; each block is dropped before the next
+        # take, and the first one writes the payloads
+        arr = construct_mn(60, 1)
+        store = PacketStore.synthetic(1, arr.f, 1024, seed=0)
+        simulate._cell_table(arr).degree_classes
+        tracemalloc.start()
+        try:
+            log = deliver(arr, store, [1] * arr.k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = log.symbols.size * store.packet_size
+        assert peak <= log.payload.nbytes + block + (1 << 17)
+
     def test_one_degree_keeps_table_order(self):
         for arr in (MN_4_2, construct_ext_general(3, 2, 3, 2)):
             cells, slots, classes = simulate._cell_table(arr).degree_classes
@@ -680,6 +696,64 @@ class TestDeliveredLogShortcut:
         assert not report.success
         assert report.problems == (
             f"log entry for symbol {symbol} does not match the array",)
+
+
+def _with_payload(log: TransmissionLog, payload) -> TransmissionLog:
+    """log with its payload column replaced."""
+    columns = [getattr(log, n) for n in simulate._COLUMNS]
+    columns[simulate._COLUMNS.index("payload")] = payload
+    return TransmissionLog(log.packet_size, *columns)
+
+
+class TestPayloadIdentitySkip:
+    """A payload that is the memo owner's own bytes is not compared with
+    them; that is exact, since bytes equal themselves.  Any other payload,
+    even one over the owner's memory, is compared byte for byte."""
+
+    @staticmethod
+    def check_skip_is_exact(arr, store, demand):
+        log = deliver(arr, store, demand)
+        delivered = decode_and_verify(arr, store, demand, log)
+        copy = log_of(slots(log), log.packet_size)
+        other = decode_and_verify(arr, store, demand, copy)
+        assert delivered == other and repr(delivered) == repr(other)
+        if not log.symbols.size:
+            return
+        payload = log.payload
+        assert not decode_and_verify(arr, store, demand,
+                                     flipped(log, 0)).success
+        changed = payload.copy()
+        changed[0] ^= 1
+        # the owner's bytes read backwards, or its first byte repeated:
+        # same memory and size, other bytes in general
+        repeated = np.ndarray(payload.shape, np.uint8, buffer=payload.base,
+                              strides=(0,))
+        for variant in (payload.copy(), changed, payload[::-1], repeated):
+            bent = _with_payload(log, variant)
+            report = decode_and_verify(arr, store, demand, bent)
+            other = decode_and_verify(arr, store, demand,
+                                      log_of(slots(bent), log.packet_size))
+            assert report == other and repr(report) == repr(other)
+            if np.array_equal(variant, payload):
+                assert report == delivered
+            else:
+                assert not report.success
+
+    @given(uneven_grids(), st.integers(1, 3), st.sampled_from([1, 3, 8]),
+           st.integers(0, 2**31 - 1))
+    def test_own_payload_decodes_as_its_copy(self, grid, files, size, seed):
+        arr = PdaArray(grid)
+        store = PacketStore.synthetic(files, arr.f, size, seed=seed)
+        demand = np.random.default_rng(seed).integers(1, files + 1,
+                                                      size=arr.k)
+        self.check_skip_is_exact(arr, store, demand)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_own_payload_decodes_as_its_copy_degenerate(self, name):
+        arr = PdaArray.from_rows(DEGENERATE[name])
+        store = PacketStore.synthetic(arr.k, arr.f, 3, seed=5)
+        self.check_skip_is_exact(arr, store, [1 + (7 * u) % arr.k
+                                              for u in range(arr.k)])
 
 
 class TestUserDecodeResult:
