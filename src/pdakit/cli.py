@@ -248,7 +248,8 @@ def _cmd_simulate(args) -> int:
     if args.random_demands is not None:
         # refused before the store is made or a demand drawn
         core._check_cap(args.random_demands
-                        * (np.count_nonzero(arr.grid) + k),
+                        * (np.count_nonzero(arr.grid) + k
+                           + core.DEMAND_FIXED_WORK),
                         core.DEMAND_WORK_CAP,
                         "the random demands would work through {} cells "
                         "and users")

@@ -25,7 +25,8 @@ _check_cap, which raises SizeCapError: CELL_CAP bounds the cells of an array
 that construct builds or a .pda header declares, and the users of an
 enumerate target; C3_WORK_CAP bounds the cross cells the C3 pair scan
 gathers; DEMAND_WORK_CAP bounds the demands of a random-demands run times
-the non-star cells and users of its array.  simulate keeps its BYTE_CAP on
+the non-star cells and users of its array plus DEMAND_FIXED_WORK, a
+demand's fixed cost.  simulate keeps its BYTE_CAP on
 packet bytes and passes it to the same check.  SYMBOL_MAX, the int32 bound
 on a symbol, is a format limit: a larger symbol is malformed input.
 
@@ -57,9 +58,13 @@ CELL_CAP = 10_000_000
 # the most cross cells, sum of g^2 over symbols of g cells, the C3 pair
 # scan gathers; the heaviest array construct writes needs about 1.98e8
 C3_WORK_CAP = 1 << 30
-# the most demands * (non-star cells + K) one `pda simulate --random-demands`
-# run works through: twice CELL_CAP admits one demand on any array
-DEMAND_WORK_CAP = 2 * CELL_CAP
+# a demand's fixed cost, about 30 us, counted as cells and users, which cost
+# 20 to 120 ns each at 64- to 256-byte packets (2-CPU x86-64 Xeon)
+DEMAND_FIXED_WORK = 1000
+# the most demands * (non-star cells + K + DEMAND_FIXED_WORK) one
+# `pda simulate --random-demands` run works through: one demand on any array
+# is admitted
+DEMAND_WORK_CAP = 2 * CELL_CAP + DEMAND_FIXED_WORK
 
 # Python refuses by default to write an int of more than 4300 digits as
 # text, so counts from here up are written as a bound.  Exact closed forms
@@ -245,8 +250,7 @@ class _CellTable:
     of cells; ``slot_of`` maps a cell to the index of its symbol,
     ``faults`` holds the pairs breaking C3 as columns, and
     ``degree_classes`` groups the slots by cell count.  The arrays are
-    read-only; the last three are built on first use.  ``gathered`` is
-    simulate._prepare's memo of its last gather over this table, or None.
+    read-only; the last three are built on first use.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -264,7 +268,6 @@ class _CellTable:
         for a in cells:
             a.flags.writeable = False
         self.rows, self.cols, self.symbols, self.starts = cells
-        self.gathered = None
 
     @cached_property
     def slot_of(self) -> np.ndarray:

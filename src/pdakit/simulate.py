@@ -43,24 +43,17 @@ payloads and one join, so the whole trace text is never held.  A
 PacketStore's data is read-only, so each file's SHA-256 is computed once
 per store and remembered.
 
-deliver and decode_and_verify gather each demand's packets once.  The
-array's cell table keeps a one-entry memo of the last gather: a weak
-reference to the store, the demand as int64 bytes and a weak reference to
-the read-only array that owns the slot XORs, which a delivered log's
-payload is a view of.  While that payload lives, a call with the same
-store object and an equal demand reads the XORs from it; the memo keeps
-neither the store nor the payload alive.
-
-Per demand, decode_and_verify does only the demand's work.  A delivered
-log's term users, rows and bounds are the cell table's own arrays, so when
-the log holds those very arrays (an ``is`` test) their comparison with the
-table is skipped, and when its payload is the memo owner's own bytes (the
-same owner, data pointer and size) its comparison with the XORs is
-skipped too: an array equals itself, so both skips are exact.  Its symbols
-and payload bounds are still compared, and any other log, a copy or a
-tampered log included, is compared byte for byte.  The cache audit runs only
-when the array has C3 faults, the users that decode wrongly are looked up
-only when some slot's payload differs, and a user's result is a
+A delivery is fully determined by the array, the store and the demand, so
+a log that deliver made for exactly the inputs decode_and_verify is given
+needs no second gather and no comparison.  deliver records in the log the
+cell table, the store object and the demand's int64 bytes it was made for,
+and a TransmissionLog is immutable, so its columns are still the ones
+deliver made.  decode_and_verify trusts a log whose origin is its own
+table, the same store object and an equal demand, and does only the
+demand's work; any other log, a copy or a tampered log included, is
+gathered for and compared byte for byte.  The cache audit runs only when
+the array has C3 faults, the users that decode wrongly are looked up only
+when some slot's payload differs, and a user's result is a
 UserDecodeResult named tuple.
 """
 
@@ -69,7 +62,6 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -157,8 +149,12 @@ class TransmissionLog:
     its payload is ``payload[ends[i]:ends[i + 1]]``.  The constructor takes
     the six one-dimensional columns in that order, checks that their bounds
     fit (ValueError otherwise) and makes them read-only; a delivered log
-    shares its terms with the array's cell table.
+    shares its terms with the array's cell table.  A log is immutable:
+    assigning an attribute raises AttributeError.  ``_origin`` is the (cell
+    table, store, demand bytes) that deliver made the log for, or None.
     """
+
+    _origin = None
 
     def __init__(self, packet_size: int, symbols, starts, cols, rows,
                  payload, ends):
@@ -175,6 +171,9 @@ class TransmissionLog:
         for a in columns:
             a.flags.writeable = False
         self.__dict__.update(zip(_COLUMNS, columns), packet_size=packet_size)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TransmissionLog is immutable")
 
     @property
     def bytes_sent(self) -> int:
@@ -234,26 +233,8 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
 
     Checks the store and the demand, whose K entries must be integers in
     [1, N] (ValueError otherwise), and the gather against BYTE_CAP
-    (SizeCapError), and returns the demand as int64, the array's cell table
-    and the (S, packet_size) XOR of each slot's packets.  Each degree
-    class of n slots of degree g is worked term by term: its cells' store
-    rows form a C-contiguous (g, n) index, built slot-major from the
-    table's columns and transposed once, whose row a holds term a of each
-    of the n slots.  Each take reads b = ceil(g / n) of its rows, whose
-    packets are XORed over the b terms; the first take writes the class's
-    n rows of the XORs, and each later one is XORed into them.  So a class
-    costs at most min(g, n) takes, no take holds more than n + g packets,
-    and no block is still held when the next is taken: the (cells,
-    packet_size) block of all gathered packets is never built, and the
-    XORs need no zeroing.  When the slots have several degrees, the XORs
-    come out in class order and are put back in slot order.
-
-    The (S, words) XORs are owned by one read-only array, remembered in
-    the table's ``gathered`` memo as (weak reference to the store, demand
-    bytes, weak reference to the owner).  A call with the same store
-    object and demand bytes whose owner is still alive returns a view of
-    it, without the cap check or the gather; any other call gathers and
-    replaces the memo.
+    (SizeCapError), and returns the demand as int64 and the array's cell
+    table.  It reads neither the packets nor a log.
     """
     if store.f != arr.f:
         raise ValueError(
@@ -267,16 +248,28 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
     # range-checked as Python ints, so the int64 cast cannot overflow
     if d and not 1 <= min(d) <= max(d) <= store.n_files:
         raise ValueError(f"demand entries must lie in [1, {store.n_files}]")
-    d = np.array(d, dtype=np.int64)
-    key = d.tobytes()
     table = _cell_table(arr)
-    last = table.gathered
-    if last is not None and last[0]() is store and last[1] == key:
-        owner = last[2]()
-        if owner is not None:
-            return d, table, owner.view(np.uint8)
     _check_cap(table.rows.size * store.packet_size, BYTE_CAP,
                "the gathered packets would hold {} bytes")
+    return np.array(d, dtype=np.int64), table
+
+
+def _gather(store: PacketStore, d: np.ndarray, table) -> np.ndarray:
+    """The read-only (S, packet_size) uint8 XOR of each slot's packets of
+    the cell table, for the int64 demand d that _prepare returned.
+
+    Each degree class of n slots of degree g is worked term by term: its
+    cells' store rows form a C-contiguous (g, n) index, built slot-major
+    from the table's columns and transposed once, whose row a holds term a
+    of each of the n slots.  Each take reads b = ceil(g / n) of its rows,
+    whose packets are XORed over the b terms; the first take writes the
+    class's n rows of the XORs, and each later one is XORed into them.  So
+    a class costs at most min(g, n) takes, no take holds more than n + g
+    packets, and no block is still held when the next is taken: the
+    (cells, packet_size) block of all gathered packets is never built, and
+    the XORs need no zeroing.  When the slots have several degrees, the
+    XORs come out in class order and are put back in slot order.
+    """
     cells, slots, classes = table.degree_classes
     # XOR whole machine words, the widest that divides a packet
     words = store.data.reshape(-1, store.packet_size).view(
@@ -284,7 +277,7 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
     # every row is written by the first take of its class
     totals = np.empty((table.symbols.size, words.shape[1]), words.dtype)
     # cell (j, k) reads row (d_k - 1) F + j of the (N F, packet_size) view
-    base = (d - 1) * arr.f
+    base = (d - 1) * store.f
     for g, in_slots, in_cells in classes:
         if cells is not None:
             in_cells = cells[in_cells]
@@ -308,22 +301,23 @@ def _prepare(arr: PdaArray, store: PacketStore, demand):
         unsorted[slots] = totals
         totals = unsorted
     totals.flags.writeable = False
-    table.gathered = (weakref.ref(store), key, weakref.ref(totals))
-    return d, table, totals.view(np.uint8)
+    return totals.view(np.uint8)
 
 
 def deliver(arr: PdaArray, store: PacketStore, demand) -> TransmissionLog:
     """Broadcast one XOR payload per symbol, ascending symbol order.
 
-    The payload is a read-only view of _prepare's XORs, so while the log
-    lives, decode_and_verify for the same store and demand neither gathers
-    them again nor compares the payload with them.
+    The log records the cell table, the store object and the demand bytes
+    it was made for, so decode_and_verify for those same inputs trusts it.
     """
-    _, table, totals = _prepare(arr, store, demand)
+    d, table = _prepare(arr, store, demand)
     size = store.packet_size
-    return TransmissionLog(
+    log = TransmissionLog(
         size, table.symbols, table.starts, table.cols, table.rows,
-        totals.reshape(-1), np.arange(table.symbols.size + 1) * size)
+        _gather(store, d, table).reshape(-1),
+        np.arange(table.symbols.size + 1) * size)
+    object.__setattr__(log, "_origin", (table, store, d.tobytes()))
+    return log
 
 
 def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
@@ -344,49 +338,52 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     fails iff one of its cells lies in a slot with non-zero rest.  Only a
     failing user's file is put together, for its hash: the stored file
     with each of the user's rows XORed by its slot's rest_s.  The store
-    hashes each demanded file once.  While the log that deliver returned
-    for this store object and demand lives, the p_s XORs are read from
-    _prepare's memo, which holds them weakly, instead of gathered again.
+    hashes each demanded file once.
 
-    The log's symbols and payload bounds are always compared with the
-    array.  Its term users, rows and bounds are compared only when they are
-    not the cell table's own arrays, and its payload is compared with the
-    p_s XORs only when it is not their own bytes: the same owner array,
-    data pointer, size and dtype, contiguous.  A delivered log holds those
-    very arrays and bytes, and an array equals itself.  The audit runs
-    only when the array has C3 faults, and ``success`` is read from the
-    same flags as the users' ``ok``.
+    A log that deliver made for this array's cell table, this store object
+    and an equal demand holds exactly the array's slots and the p_s XORs,
+    so it is neither gathered for nor compared.  Any other log gets a fresh
+    gather of the p_s XORs and a comparison of every column.  The audit
+    runs only when the array has C3 faults, and ``success`` is read from
+    the same flags as the users' ``ok``.
     """
-    d, table, totals = _prepare(arr, store, demand)
+    d, table = _prepare(arr, store, demand)
     rows, cols, symbols = table.rows, table.cols, table.symbols
     demanded = d.tolist()
 
     # the notes of each user that has any
     user_problems: dict[int, list[str]] = {}
     global_problems: list[str] = []
+    # the users whose slots' payloads differ from their XORs
+    wrong: set[int] = set()
 
-    # structural consistency of the log with this array
-    if log.packet_size != store.packet_size:
-        global_problems.append(
-            f"log packet size {log.packet_size} != store {store.packet_size}")
-    if not np.array_equal(log.symbols, symbols):
-        global_problems.append("log symbols do not match the array")
-    else:
-        bad = np.diff(log.ends) != store.packet_size
-        # a delivered log's terms and term bounds are the table's own
-        # arrays, and an array equals itself
-        if not (log.cols is cols and log.rows is rows
-                and log.starts is table.starts):
+    # a log delivered for these very inputs is what a fresh gather and
+    # delivery would make, and it is immutable
+    if log._origin != (table, store, d.tobytes()):
+        totals = _gather(store, d, table)
+        # structural consistency of the log with this array
+        if log.packet_size != store.packet_size:
+            global_problems.append(f"log packet size {log.packet_size} != "
+                                   f"store {store.packet_size}")
+        if not np.array_equal(log.symbols, symbols):
+            global_problems.append("log symbols do not match the array")
+        else:
+            bad = np.diff(log.ends) != store.packet_size
             # past the first slot whose term count differs the terms no
             # longer line up, but that slot is flagged first anyway
             n = min(log.cols.size, cols.size)
             moved = (log.cols[:n] != cols[:n]) | (log.rows[:n] != rows[:n])
             bad |= np.diff(log.starts) != np.diff(table.starts)
             bad[table.slot_of[:n][moved]] = True
-        if bad.any():
-            global_problems.append(f"log entry for symbol "
-                                   f"{symbols[bad.argmax()]} "
-                                   "does not match the array")
+            if bad.any():
+                global_problems.append(f"log entry for symbol "
+                                       f"{symbols[bad.argmax()]} "
+                                       "does not match the array")
+        if not global_problems:
+            rest = log.payload.reshape(totals.shape) ^ totals
+            differs = rest.any(axis=1)
+            if differs.any():
+                wrong = set(cols[differs[table.slot_of]].tolist())
 
     # cache-membership audit: every cancellation term must be held.  The
     # first LISTED bad pairs are named; each user gets one closing count of
@@ -426,18 +423,6 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
                     f"{more[u]} more cache problems")
 
     decodable = not global_problems
-    wrong: set[int] = set()
-    payload = log.payload
-    # a payload that is the memo owner's own bytes equals them
-    if decodable and not (
-            payload.base is totals.base and payload.dtype == totals.dtype
-            and payload.size == totals.size and payload.flags.c_contiguous
-            and payload.ctypes.data == totals.ctypes.data):
-        rest = payload.reshape(totals.shape) ^ totals
-        differs = rest.any(axis=1)
-        if differs.any():
-            wrong = set(cols[differs[table.slot_of]].tolist())
-
     hashes = {i: store.file_hash(i) for i in set(demanded)}
     success = decodable and not user_problems and not wrong
     if success:

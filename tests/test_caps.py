@@ -10,6 +10,7 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from pdakit import (PacketStore, SizeCapError, _kernels,
                     construct_ext_general, construct_general, construct_mn,
                     construct_special, decode_and_verify, deliver,
                     enumerate_schemes, parse, simulate, verify_pda)
-from pdakit import analysis, core
+from pdakit import analysis, constructions, core
 from pdakit.cli import main
 from pdakit.core import _cell_table
 
@@ -321,19 +322,69 @@ def test_verify_of_fuzzed_fixture_ends_in_an_exit_code(data, edits):
     assert len(err.getvalue().encode()) < 1024
 
 
+# -- fuzzed options: every extreme value ends in a documented exit -------
+
+SIMULATE_OPTIONS = ("--packet-size", "--files", "--random-demands")
+
+
+@st.composite
+def extreme_argv(draw):
+    """simulate with up to three of its size options, or construct mn, at
+    integers up to 10^12, half of them small; one run in five has one value
+    replaced by 5000 characters of text."""
+    value = st.one_of(st.integers(-2, 100), st.integers(-2, 10**12)).map(str)
+    if draw(st.booleans()):
+        options = draw(st.lists(st.tuples(st.sampled_from(SIMULATE_OPTIONS),
+                                          value), min_size=1, max_size=3))
+        argv = ["simulate", FIXTURE, *(a for o in options for a in o)]
+    else:
+        argv = ["construct", "--family", "mn", "--k", draw(value), "--t",
+                draw(st.sampled_from(["1", "2", "3"]))]
+    if draw(st.integers(0, 4)) == 0:
+        # the values follow the options, from the fourth argument on
+        at = draw(st.sampled_from(range(3 + (argv[0] == "construct"),
+                                        len(argv), 2)))
+        argv[at] = draw(st.sampled_from([SEVENS, EXES, "-" + SEVENS]))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(extreme_argv())
+def test_extreme_option_values_end_in_an_exit_code(argv):
+    # the caps are lowered so that every admitted run is small: at the real
+    # caps a run just under one fills a 1 GiB store or a 10^7-cell array,
+    # and the over-cap refusals are pinned in full above
+    err = io.StringIO()
+    start = time.perf_counter()
+    with mock.patch.object(simulate, "BYTE_CAP", 1 << 20), \
+            mock.patch.object(core, "DEMAND_WORK_CAP", 10**5), \
+            mock.patch.object(constructions, "CELL_CAP", 10**5), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an option's type
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().encode()) < 1024
+    assert time.perf_counter() - start < 5
+
+
 class TestDemandWorkCap:
-    # mn(4, 2) has 12 non-star cells and 4 users: 16 per demand
+    # mn(4, 2) has 12 non-star cells and 4 users: with the fixed cost of
+    # 1000, 1016 per demand
 
     def test_cap_is_inclusive(self, monkeypatch, capsys):
-        monkeypatch.setattr(core, "DEMAND_WORK_CAP", 48)
+        monkeypatch.setattr(core, "DEMAND_WORK_CAP", 3048)
         assert main(["simulate", FIXTURE, "--random-demands", "3"]) == 0
         assert capsys.readouterr().out.count("decode=ok") == 3
         code = main(["simulate", FIXTURE, "--random-demands", "4"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
         assert captured.err == ("too large: the random demands would work "
-                                "through 64 cells and users, above the cap "
-                                "of 48\n")
+                                "through 4064 cells and users, above the "
+                                "cap of 3048\n")
 
     def test_huge_count_exits_3_before_store_and_draws(self, monkeypatch,
                                                        capsys):
@@ -347,8 +398,8 @@ class TestDemandWorkCap:
         assert time.perf_counter() - start < 2
         assert (code, captured.out) == (3, "")
         assert captured.err == ("too large: the random demands would work "
-                                "through 1616161616160 cells and users, "
-                                "above the cap of 20000000\n")
+                                "through 102626262626160 cells and users, "
+                                "above the cap of 20001000\n")
 
     def test_cap_admits_every_ci_run(self):
         runs = [
@@ -358,7 +409,22 @@ class TestDemandWorkCap:
             (construct_ext_general(5, 3, 4, 2), 20),
         ]
         for arr, count in runs:
-            work = count * (np.count_nonzero(arr.grid) + arr.k)
+            work = count * (np.count_nonzero(arr.grid) + arr.k
+                            + core.DEMAND_FIXED_WORK)
             assert work <= core.DEMAND_WORK_CAP
         # one demand on any array: at most CELL_CAP cells and CELL_CAP users
-        assert 2 * core.CELL_CAP <= core.DEMAND_WORK_CAP
+        assert (2 * core.CELL_CAP + core.DEMAND_FIXED_WORK
+                <= core.DEMAND_WORK_CAP)
+
+    def test_cell_free_array_pays_the_fixed_cost(self, tmp_path, capsys):
+        # a 1x1 all-star array has no cells: each demand still counts 1001
+        path = tmp_path / "star.pda"
+        path.write_text("1 1 1 0\n*\n")
+        assert main(["simulate", str(path), "--random-demands", "3"]) == 0
+        assert capsys.readouterr().out.count("decode=ok") == 3
+        code = main(["simulate", str(path), "--random-demands", "20000000"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == ("too large: the random demands would work "
+                                "through 20020000000 cells and users, "
+                                "above the cap of 20001000\n")
