@@ -18,7 +18,8 @@ import numpy as np
 
 from . import analysis, constructions, core, simulate, textio
 from .constructions import ConstructionParams, Family, ParamDomainError
-from .core import SizeCapError, canonicalize, params_of, verify_pda
+from .core import (PdaParams, SizeCapError, canonicalize, params_of,
+                   verify_pda)
 from .textio import PdaFormatError, _quoted, _too_long
 
 EXIT_OK = 0
@@ -217,7 +218,9 @@ def _cmd_verify(args) -> int:
     arr, header = textio.load_with_header(args.path)
     report = verify_pda(arr, declared_z=header.z, declared_s=header.s)
     if report.valid:
-        params = params_of(arr)
+        # valid against the header: every column has Z stars and the
+        # symbols are exactly 1..S, so these are the counted parameters
+        params = PdaParams(arr.k, arr.f, header.z, header.s)
         lines = [f"valid (K,F,Z,S)={params.as_tuple()} "
                  f"M/N={params.ratio} R={params.rate}"]
     else:

@@ -256,11 +256,14 @@ class _CellTable:
     def __init__(self, grid: np.ndarray):
         self.grid = grid
         f, k = grid.shape
-        cells = np.flatnonzero(grid)
+        # nonzero reads a one-byte mask about three times as fast as int32
+        cells = np.flatnonzero(grid != STAR)
         vals = grid.take(cells)
-        place = cells % k * f
-        place += cells // k
+        row, place = np.divmod(cells, k)
         del cells
+        place *= f
+        place += row
+        del row
         place, vals, heads = _by_symbol(vals, place)
         vals = vals[heads]
         cols, rows = np.divmod(place, f)
@@ -317,14 +320,17 @@ class _CellTable:
         so one table serves the verifier and the decoder's cache audit.
         All indices are 0-based and the arrays are read-only.  The scan
         gathers the g x g cross cells of each symbol of g cells; their sum
-        is held to C3_WORK_CAP.
+        is held to C3_WORK_CAP.  It gathers them from the transient
+        one-byte mask ``grid != STAR`` (F * K bytes), not from the int32
+        grid, in (block rows, block columns, symbols) tiles.
         """
         g = np.diff(self.starts).astype(np.uint64)
         # exact: the sum is below (cells)^2 < 2^64
         _check_cap(int(g @ g), C3_WORK_CAP,
                    "the C3 pair scan would gather {} cross-cell entries")
         grid = self.grid
-        pairs = _kernels.c3_pair_scan(grid, self.rows, self.cols, self.starts)
+        pairs = _kernels.c3_pair_scan(grid != STAR, self.rows, self.cols,
+                                      self.starts)
         r1, r2 = self.rows[pairs.T]
         c1, c2 = self.cols[pairs.T]
         del pairs
@@ -496,7 +502,7 @@ def canonicalize(arr: PdaArray) -> PdaArray:
     opens on its first appearance.
     """
     flat = arr.grid.ravel()
-    cells = np.flatnonzero(flat)
+    cells = np.flatnonzero(flat != STAR)
     cells, heads = _by_symbol(flat.take(cells), cells)[::2]
     rank = np.empty(heads.size, dtype=np.int32)
     rank[np.argsort(cells[heads])] = np.arange(1, heads.size + 1,

@@ -125,6 +125,19 @@ class TestPairScan:
         # listing all 500,500 pairs of the group would take over 20 MB
         assert peak < 1 << 20
 
+    def test_faults_scan_a_one_byte_mask(self, monkeypatch):
+        # _CellTable.faults gathers from grid != STAR, not the int32 grid
+        seen = []
+        scan = _kernels.c3_pair_scan
+
+        def recorded(grid, *args):
+            seen.append((grid.dtype.itemsize, grid.shape))
+            return scan(grid, *args)
+        monkeypatch.setattr(_kernels, "c3_pair_scan", recorded)
+        arr = PdaArray.from_rows([[1, 2], [2, 1]])
+        assert len(_CellTable(arr.grid).faults[0]) == 2
+        assert seen == [(1, (2, 2))]
+
     def test_verify_peak_memory(self):
         arr = construct_ext_general(5, 3, 4, 2)
         report, peak = _peak(lambda: verify_pda(arr))

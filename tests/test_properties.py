@@ -61,9 +61,12 @@ def test_pair_scan_matches_reference(grid, chunk):
     assert np.array_equal(np.lexsort((rows, cols, vals)), np.arange(vals.size))
     with mock.patch.object(_kernels, "CHUNK_CELLS", chunk):
         got = _kernels.c3_pair_scan(grid, rows, cols, starts)
+        # the one-byte non-star mask gives the same pairs in the same order
+        masked = _kernels.c3_pair_scan(grid != 0, rows, cols, starts)
     expected = reference_pair_scan(grid, rows, cols, starts)
-    assert got.dtype == expected.dtype == np.int64
+    assert got.dtype == expected.dtype == masked.dtype == np.int64
     assert np.array_equal(got, expected)
+    assert np.array_equal(masked, got)
 
 
 def report_lists(report):

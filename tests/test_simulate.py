@@ -478,8 +478,11 @@ class TestXorByDegree:
 
 
 class TestGatherMemo:
-    """deliver and decode_and_verify share one gather per (array, store,
-    demand) while the delivered payload lives."""
+    """The provenance rule: decode_and_verify trusts a log, and gathers
+    nothing for it, only when deliver made it for the same cell table, the
+    same store object and an equal demand.  Any other log, one with the
+    same bytes included, is gathered for again and compared in full, and
+    the log holds nothing alive once it is dropped."""
 
     ARRAYS = {
         "mn": MN_4_2.grid,
@@ -663,8 +666,11 @@ def _copied(log: TransmissionLog) -> TransmissionLog:
 
 
 class TestDeliveredLogShortcut:
-    """A log whose terms and term bounds are the cell table's own arrays
-    skips their comparison; that is exact, since an array equals itself."""
+    """A copy of a delivered log's columns was not made by deliver, so
+    decode_and_verify does not trust it: it gathers again, compares the
+    copy in full and reports just what it reports for the delivered log.
+    A log whose term bounds were moved is flagged, even when it shares
+    the delivered log's term columns."""
 
     @staticmethod
     def check_copy_decodes_alike(arr, store, demand):
@@ -717,9 +723,11 @@ def _with_payload(log: TransmissionLog, payload) -> TransmissionLog:
 
 
 class TestPayloadIdentitySkip:
-    """A payload that is the memo owner's own bytes is not compared with
-    them; that is exact, since bytes equal themselves.  Any other payload,
-    even one over the owner's memory, is compared byte for byte."""
+    """Only the log deliver made for the same table, store and demand
+    goes uncompared.  A log with any other payload, a copy of the delivered
+    bytes or a view over their memory included, is gathered for and
+    compared byte for byte, and decodes as a log rebuilt from its slots
+    does."""
 
     @staticmethod
     def check_skip_is_exact(arr, store, demand):
