@@ -40,8 +40,13 @@ columns are the log's only form, and its one constructor takes them.  Its
 trace is streamed from them in chunks of TRACE_BLOCK slots, each chunk
 made with one pass over the block's terms, one hex conversion of its
 payloads and one join, so the whole trace text is never held.  A
-PacketStore's data is read-only, so each file's SHA-256 is computed once
-per store and remembered.
+synthetic PacketStore is its seed's raw 64-bit generator words retyped in
+place as bytes, one owned allocation: the same bytes as
+rng.integers(0, 256, dtype=uint8), which a test pins, drawn without the
+per-byte work of integers.  Its data is read-only, so each file's SHA-256
+is computed once per store, the first time decode_and_verify reports that
+file, and remembered; a decoded file is put together and hashed only when
+a packet differs.
 
 A delivery is fully determined by the array, the store and the demand, so
 a log that deliver made for exactly the inputs decode_and_verify is given
@@ -83,9 +88,10 @@ class PacketStore:
     """Synthetic file library: N files split into F packets each.
 
     data has shape (N, F, packet_size), dtype uint8, reproducible from the
-    recorded seed.  The store keeps it read-only, copying data that is
-    writable or a view of other memory.  A store equals only itself, so it
-    can key a dict.
+    recorded seed; packet j of file i (both 1-based) is ``data[i - 1,
+    j - 1]``.  The store keeps it read-only, copying data that is writable
+    or a view of other memory.  A store equals only itself, so it can key a
+    dict.
     """
 
     n_files: int
@@ -114,23 +120,27 @@ class PacketStore:
                   seed: int = 0) -> "PacketStore":
         if n_files < 1 or f < 1 or packet_size < 1:
             raise ValueError("n_files, f and packet_size must be positive")
-        _check_cap(n_files * f * packet_size, BYTE_CAP,
-                   "the packet store would hold {} bytes")
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 256, size=(n_files, f, packet_size),
-                            dtype=np.uint8)
+        shape = (n_files, f, packet_size)
+        n = math.prod(shape)
+        _check_cap(n, BYTE_CAP, "the packet store would hold {} bytes")
+        # the bytes of rng.integers(0, 256, shape, uint8), which reads each
+        # 64-bit generator word as 8 little-endian bytes, drawn at the
+        # generator's raw speed; tests pin the equality.  Retyped and
+        # shrunk in place, the words stay one owned array, which the store
+        # keeps without a copy
+        data = np.random.default_rng(seed).bit_generator.random_raw(
+            -(-n // 8))
+        data.dtype = np.uint8
+        data.resize(shape, refcheck=False)
         data.flags.writeable = False
         return cls(n_files, f, packet_size, seed, data)
-
-    def packet(self, i: int, j: int) -> np.ndarray:
-        """Packet j of file i, both 1-based."""
-        return self.data[i - 1, j - 1]
 
     def file_hash(self, i: int) -> str:
         """SHA-256 of file i (1-based), computed once per store."""
         digest = self._hashes.get(i)
         if digest is None:
-            digest = hashlib.sha256(self.data[i - 1].tobytes()).hexdigest()
+            # the read-only C-contiguous file is hashed in place
+            digest = hashlib.sha256(self.data[i - 1]).hexdigest()
             self._hashes[i] = digest
         return digest
 
@@ -445,7 +455,7 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
                 got[rows[mine]] ^= rest[table.slot_of[mine]]
                 users.append(UserDecodeResult(
                     u + 1, i, False, expected,
-                    hashlib.sha256(got.tobytes()).hexdigest(),
+                    hashlib.sha256(got).hexdigest(),
                     (f"decoded file differs from file {i}",)))
             else:
                 users.append(UserDecodeResult(u + 1, i, True, expected,

@@ -171,6 +171,15 @@ def naive_vector(family, q, z, m, t):
     return np.array(grid, dtype=np.int64)
 
 
+def integers_store(n_files: int, f: int, packet_size: int, seed: int):
+    """The (n_files, f, packet_size) uint8 packet bytes of a synthetic store
+    drawn with numpy's bounded-integer sampler: the oracle for
+    PacketStore.synthetic, which reads the same bytes from the generator's
+    raw words."""
+    return np.random.default_rng(seed).integers(
+        0, 256, size=(n_files, f, packet_size), dtype=np.uint8)
+
+
 def naive_deliver(rows, files, demand):
     """{symbol: payload} for a grid of '*'/int cells: the byte-wise XOR of
     packet j of file demand[k] over every cell (j, k) holding the symbol.

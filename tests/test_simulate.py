@@ -9,10 +9,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import (fixture_text, flipped, log_of, naive_decode,
-                     naive_deliver, naive_trace, slots)
+from helpers import (fixture_text, flipped, integers_store, log_of,
+                     naive_decode, naive_deliver, naive_trace, slots)
 from pdakit import (ConstructionParams, Family, PacketStore, PdaArray,
                     SizeCapError, TransmissionLog, _kernels,
                     construct_ext_general, construct_general, construct_mn,
@@ -39,10 +39,34 @@ class TestPacketStore:
         c = PacketStore.synthetic(3, 5, 16, seed=43)
         assert not np.array_equal(a.data, c.data)
 
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**64), n=st.integers(1, 4),
+           f=st.integers(1, 9),
+           size=st.sampled_from([1, 3, 8, 13]) | st.integers(1, 40))
+    def test_draw_equals_integers_draw(self, seed, n, f, size):
+        # the raw-word draw rests on how numpy fills a full-range uint8
+        # draw; this pins it against the sampler itself
+        data = PacketStore.synthetic(n, f, size, seed).data
+        assert np.array_equal(data, integers_store(n, f, size, seed))
+        assert data.base is None and not data.flags.writeable
+
+    def test_draw_is_one_allocation(self):
+        # about 8 MB, not a multiple of 8 bytes: the words are shrunk in
+        # place and the store keeps them without a copy
+        shape = (7, 1153, 1031)
+        tracemalloc.start()
+        try:
+            store = PacketStore.synthetic(*shape, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert store.data.nbytes == np.prod(shape) > 8 * 10**6
+        assert peak <= store.data.nbytes + (1 << 16)
+
     def test_packets_equal_length(self):
         store = PacketStore.synthetic(2, 3, 8)
-        assert {store.packet(i, j).nbytes for i in (1, 2) for j in (1, 2, 3)} \
-            == {8}
+        assert {store.data[i - 1, j - 1].nbytes for i in (1, 2)
+                for j in (1, 2, 3)} == {8}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -90,7 +114,7 @@ class TestDeliver:
     def test_two_user_payload_bytes(self):
         store = PacketStore.synthetic(2, 2, 8, seed=1)
         log = deliver(TWO_USER, store, [1, 2])
-        want = xor(store.packet(1, 2), store.packet(2, 1))
+        want = xor(store.data[0, 1], store.data[1, 0])
         assert slots(log) == [(1, ((1, 2), (2, 1)), want.tobytes())]
 
     def test_known_trace(self):
@@ -105,7 +129,7 @@ class TestDeliver:
             "terms=(2,6);(3,5);(4,4)",
         ]
         # payload of slot 1 is W[1,4] ^ W[2,2] ^ W[3,1]
-        want = xor(store.packet(1, 4), store.packet(2, 2), store.packet(3, 1))
+        want = xor(store.data[0, 3], store.data[1, 1], store.data[2, 0])
         assert slots(log)[0][2] == want.tobytes()
         assert log.bytes_sent == 4 * store.packet_size
 
@@ -116,7 +140,8 @@ class TestDeliver:
         demand = [3, 1, 6, 3]
         log = deliver(MN_4_2, store, demand)
         for _, terms, payload in slots(log):
-            want = xor(*(store.packet(demand[k - 1], j) for k, j in terms))
+            want = xor(*(store.data[demand[k - 1] - 1, j - 1]
+                         for k, j in terms))
             assert payload == want.tobytes()
 
     def test_payload_count_and_order(self):
@@ -232,7 +257,7 @@ class TestDecode:
         for _, terms, payload in slots(tampered):
             payload = np.frombuffer(payload, dtype=np.uint8)
             for k, j in terms:
-                others = [store.packet(demand[k2 - 1], j2)
+                others = [store.data[demand[k2 - 1] - 1, j2 - 1]
                           for k2, j2 in terms if k2 != k]
                 files[k - 1][j - 1] = xor(payload, *others)
         bent = {k for k, _ in slots(log)[1][1]}
@@ -415,7 +440,8 @@ class TestXorByDegree:
         assert log.symbols.tolist() == symbols
         assert log.bytes_sent == len(symbols) * size
         for symbol, terms, payload in slots(log):
-            want = xor(*(store.packet(demand[k - 1], j) for k, j in terms))
+            want = xor(*(store.data[demand[k - 1] - 1, j - 1]
+                         for k, j in terms))
             assert payload == want.tobytes()
             assert len(terms) == (grid == symbol).sum()
         assert decode_and_verify(arr, store, demand, log).problems == ()
