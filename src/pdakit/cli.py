@@ -287,9 +287,19 @@ def _cmd_simulate(args) -> int:
                 lines = []
                 yield from log.trace()
             lines.append(f"bytes_sent={report.bytes_sent} rate={report.rate}")
-            for u in report.users:
-                status = "ok" if u.ok else "FAIL " + "; ".join(u.problems)
-                lines.append(f"user {u.user} file {u.demanded}: {status}")
+            # the user lines read the report's demand and failures, so no
+            # file is hashed
+            failures = report.failures
+            if not failures:
+                lines.append("\n".join(
+                    f"user {u} file {i}: ok"
+                    for u, i in zip(range(1, k + 1), report.demanded)))
+            else:
+                for u, i in enumerate(report.demanded, 1):
+                    problems = failures.get(u)
+                    status = ("ok" if problems is None
+                              else "FAIL " + "; ".join(problems))
+                    lines.append(f"user {u} file {i}: {status}")
             lines.append(f"decode={'ok' if report.success else 'FAIL'}")
             yield "\n".join(lines) + "\n"
             lines = []

@@ -44,9 +44,11 @@ synthetic PacketStore is its seed's raw 64-bit generator words retyped in
 place as bytes, one owned allocation: the same bytes as
 rng.integers(0, 256, dtype=uint8), which a test pins, drawn without the
 per-byte work of integers.  Its data is read-only, so each file's SHA-256
-is computed once per store, the first time decode_and_verify reports that
-file, and remembered; a decoded file is put together and hashed only when
-a packet differs.
+is computed once per store and remembered.  A DecodeReport says which
+users decode, and what each demanded, without a digest; the digests of
+the demanded files are made when the report's users are first read, and
+a decoded file is put together and hashed, at once, only when a packet
+differs.
 
 A delivery is fully determined by the array, the store and the demand, so
 a log that deliver made for exactly the inputs decode_and_verify is given
@@ -57,9 +59,10 @@ deliver made.  decode_and_verify trusts a log whose origin is its own
 table, the same store object and an equal demand, and does only the
 demand's work; any other log, a copy or a tampered log included, is
 gathered for and compared byte for byte.  The cache audit runs only when
-the array has C3 faults, the users that decode wrongly are looked up only
-when some slot's payload differs, and a user's result is a
-UserDecodeResult named tuple.
+the array has C3 faults, and the users that decode wrongly are looked up
+only when some slot's payload differs.  A user's result is a
+UserDecodeResult named tuple, made with the others on the first read of
+the report's users.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -229,13 +232,66 @@ class UserDecodeResult(NamedTuple):
     problems: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DecodeReport:
+    """The outcome of decode_and_verify.
+
+    ``demanded`` holds each user's file index and ``failures`` maps each
+    failing 1-based user to its problems, so they say which users decode
+    without a digest.  ``users`` holds one UserDecodeResult per user, with
+    the SHA-256 digests of the demanded files: it is made from the store
+    the first time it is read and kept, and the report then no longer
+    holds the store.  The repr, equality and hash are those of the fields
+    success, users, problems, bytes_sent and rate, in that order, so they
+    read ``users``; ``demanded`` and ``failures`` take no part in them.
+    """
+
     success: bool
-    users: tuple[UserDecodeResult, ...]
     problems: tuple[str, ...]  # issues not attributable to one user
     bytes_sent: int
     rate: Fraction
+    demanded: tuple[int, ...]
+    failures: dict[int, tuple[str, ...]]
+    # the users, or until their first read the partial that makes them
+    _users: tuple[UserDecodeResult, ...] | partial
+
+    @property
+    def users(self) -> tuple[UserDecodeResult, ...]:
+        users = self._users
+        if not isinstance(users, tuple):
+            users = users()
+            object.__setattr__(self, "_users", users)
+        return users
+
+    def _key(self) -> tuple:
+        return (self.success, self.users, self.problems, self.bytes_sent,
+                self.rate)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(success={self.success!r}, "
+                f"users={self.users!r}, problems={self.problems!r}, "
+                f"bytes_sent={self.bytes_sent!r}, rate={self.rate!r})")
+
+
+def _user_results(store: PacketStore, demanded: tuple[int, ...],
+                  failures: dict[int, tuple[str, ...]],
+                  decoded: dict[int, str]) -> tuple[UserDecodeResult, ...]:
+    """The users of a DecodeReport: the store hashes each demanded file
+    once; a failing user's decoded digest is in ``decoded``, or None."""
+    hashes = {i: store.file_hash(i) for i in set(demanded)}
+    return tuple(
+        UserDecodeResult(u, i, True, hashes[i], hashes[i], ())
+        if u not in failures else
+        UserDecodeResult(u, i, False, hashes[i], decoded.get(u), failures[u])
+        for u, i in enumerate(demanded, 1))
 
 
 def _prepare(arr: PdaArray, store: PacketStore, demand):
@@ -347,8 +403,10 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     every packet of slot s decodes exactly iff rest_s is zero, and a user
     fails iff one of its cells lies in a slot with non-zero rest.  Only a
     failing user's file is put together, for its hash: the stored file
-    with each of the user's rows XORed by its slot's rest_s.  The store
-    hashes each demanded file once.
+    with each of the user's rows XORed by its slot's rest_s, and hashed
+    at once, so the report keeps no rest_s.  The store hashes each
+    demanded file once, when the report's users are first read; until
+    then the report holds the store.
 
     A log that deliver made for this array's cell table, this store object
     and an equal demand holds exactly the array's slots and the p_s XORs,
@@ -359,7 +417,7 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     """
     d, table = _prepare(arr, store, demand)
     rows, cols, symbols = table.rows, table.cols, table.symbols
-    demanded = d.tolist()
+    demanded = tuple(d.tolist())
 
     # the notes of each user that has any
     user_problems: dict[int, list[str]] = {}
@@ -433,40 +491,31 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
                     f"{more[u]} more cache problems")
 
     decodable = not global_problems
-    hashes = {i: store.file_hash(i) for i in set(demanded)}
     success = decodable and not user_problems and not wrong
-    if success:
-        # every user decodes its own file exactly
-        digests = list(map(hashes.get, demanded))
-        users = list(map(UserDecodeResult._make, zip(
-            range(1, arr.k + 1), demanded, repeat(True), digests, digests,
-            repeat(()))))
-    else:
-        users = []
+    # each failing 1-based user's problems, and the digest of what each
+    # wrongly decoding user got
+    failures: dict[int, tuple[str, ...]] = {}
+    decoded: dict[int, str] = {}
+    if not success:
         for u, i in enumerate(demanded):
-            expected = hashes[i]
             problems = user_problems.get(u)
             if problems or not decodable:
-                users.append(UserDecodeResult(u + 1, i, False, expected,
-                                              None, tuple(problems or ())))
+                failures[u + 1] = tuple(problems or ())
             elif u in wrong:
                 mine = cols == u
                 got = store.data[i - 1].copy()
                 got[rows[mine]] ^= rest[table.slot_of[mine]]
-                users.append(UserDecodeResult(
-                    u + 1, i, False, expected,
-                    hashlib.sha256(got).hexdigest(),
-                    (f"decoded file differs from file {i}",)))
-            else:
-                users.append(UserDecodeResult(u + 1, i, True, expected,
-                                              expected, ()))
+                decoded[u + 1] = hashlib.sha256(got).hexdigest()
+                failures[u + 1] = (f"decoded file differs from file {i}",)
 
     return DecodeReport(
         success=success,
-        users=tuple(users),
         problems=tuple(global_problems),
         bytes_sent=log.bytes_sent,
         rate=Fraction(log.symbols.size, arr.f),
+        demanded=demanded,
+        failures=failures,
+        _users=partial(_user_results, store, demanded, failures, decoded),
     )
 
 

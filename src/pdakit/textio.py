@@ -311,7 +311,7 @@ def emit(arr: PdaArray) -> str:
         else:
             cells = table.take(block, axis=0)
         cells[:, -1, -1] = ord("\n")
-        parts.append(cells[cells != 0].tobytes().decode("ascii"))
+        parts.append(cells.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
 
 

@@ -5,19 +5,21 @@ import hashlib
 import tracemalloc
 import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (fixture_text, flipped, integers_store, log_of,
-                     naive_decode, naive_deliver, naive_trace, slots)
+from helpers import (FIXTURES, fixture_text, flipped, integers_store,
+                     log_of, naive_decode, naive_deliver, naive_trace, slots)
 from pdakit import (ConstructionParams, Family, PacketStore, PdaArray,
                     SizeCapError, TransmissionLog, _kernels,
                     construct_ext_general, construct_general, construct_mn,
                     construct_special, decode_and_verify, deliver, parse,
                     run_simulation, simulate, theorem_params, verify_pda)
+from pdakit.cli import main
 
 MN_4_2 = parse(fixture_text("mn_k4_t2.pda"))
 TWO_USER = PdaArray.from_rows([["*", 1], [1, "*"]])
@@ -811,6 +813,97 @@ class TestUserDecodeResult:
         result = simulate.UserDecodeResult(1, 2, True, "ab", None, ())
         with pytest.raises(AttributeError):
             result.ok = False
+
+
+class TestDeferredDigests:
+    """A report hashes no file until its users are first read; then each
+    demanded file is hashed once, the users are kept and the store is let
+    go.  The per-user view (demanded, failures) needs no digest."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """The files hashed through PacketStore.file_hash, in call order,
+        and the count of every SHA-256 made in simulate."""
+        files, digests = [], []
+        file_hash = PacketStore.file_hash
+
+        def counted_file_hash(store, i):
+            files.append(i)
+            return file_hash(store, i)
+
+        def counted_sha256(*args):
+            digests.append(1)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(PacketStore, "file_hash", counted_file_hash)
+        monkeypatch.setattr(simulate, "hashlib",
+                            SimpleNamespace(sha256=counted_sha256))
+        return files, digests
+
+    def test_successful_decode_hashes_nothing(self, hashed):
+        store = PacketStore.synthetic(6, 6, 8, seed=1)
+        report = run_simulation(MN_4_2, store, [2, 5, 2, 6])
+        assert report.success
+        assert report.demanded == (2, 5, 2, 6) and report.failures == {}
+        assert hashed == ([], [])
+
+    def test_first_read_hashes_each_demanded_file_once(self, hashed):
+        files, digests = hashed
+        store = PacketStore.synthetic(6, 6, 8, seed=1)
+        report = run_simulation(MN_4_2, store, [2, 5, 2, 6])
+        users = report.users
+        assert sorted(files) == [2, 5, 6] and len(digests) == 3
+        # a second read hashes nothing
+        assert report.users is users
+        assert sorted(files) == [2, 5, 6] and len(digests) == 3
+        assert [u.expected_hash for u in users] == [
+            hashlib.sha256(store.data[i - 1].tobytes()).hexdigest()
+            for i in (2, 5, 2, 6)]
+
+    def test_simulate_command_hashes_nothing(self, hashed, capsys):
+        assert main(["simulate", str(FIXTURES / "mn_k4_t2.pda"),
+                     "--random-demands", "20"]) == 0
+        assert capsys.readouterr().out.count("decode=ok\n") == 20
+        assert hashed == ([], [])
+
+    @pytest.mark.parametrize("case", ["honest", "flipped", "faulty"])
+    def test_repr_and_equality_ignore_read_order(self, case):
+        arr = PdaArray([[1, 2], [2, 1]]) if case == "faulty" else MN_4_2
+        store = PacketStore.synthetic(3, arr.f, 4, seed=2)
+        demand = [1 + u % 3 for u in range(arr.k)]
+        log = deliver(arr, store, demand)
+        if case == "flipped":
+            log = flipped(log, 0)
+
+        def pair():
+            # two equal reports: the first one's users are read now, the
+            # other's only by the comparison
+            read = decode_and_verify(arr, store, demand, log)
+            read.users
+            return read, decode_and_verify(arr, store, demand, log)
+
+        read, unread = pair()
+        assert repr(read) == repr(unread)
+        read, unread = pair()
+        assert unread == read
+        read, unread = pair()
+        assert hash(unread) == hash(read)
+        assert read.success == (case == "honest")
+        assert read.demanded == tuple(u.demanded for u in read.users)
+        assert read.failures == {u.user: u.problems for u in read.users
+                                 if not u.ok}
+
+    def test_read_report_lets_the_store_go(self):
+        store = PacketStore.synthetic(6, 6, 8, seed=1)
+        report = run_simulation(MN_4_2, store, [1, 2, 3, 4])
+        ref = weakref.ref(store)
+        del store
+        gc.collect()
+        # until its users are read, the report needs the store
+        assert ref() is not None
+        assert report.users
+        gc.collect()
+        assert ref() is None
 
 
 class TestByteCap:
