@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -26,6 +28,37 @@ EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+# glibc's mallopt parameters, from malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _libc():
+    """The C library's symbols, as this process has them loaded."""
+    return ctypes.CDLL(None)
+
+
+@functools.cache
+def _pin_allocator() -> None:
+    """Fix glibc's allocator policy once per process: blocks from 16 MB up
+    are mapped, and freed heap is kept up to 32 MB.
+
+    By default glibc raises its mmap threshold to the size of each large
+    mapped block that is freed, and its trim threshold to twice that, so
+    which allocations fault their pages in again depends on the largest
+    transient some earlier call happened to free.  Fixed values keep the
+    heap's freed pages for the next command's temporaries.  Where the C
+    library has no mallopt, nothing changes.
+    """
+    try:
+        mallopt = _libc().mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
 
 
 def _write(target: str, text) -> None:
@@ -385,6 +418,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def main(argv=None) -> int:
+    _pin_allocator()
     args = _PARSER.parse_args(argv)
     handler = {
         "construct": _cmd_construct,

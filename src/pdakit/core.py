@@ -32,8 +32,9 @@ on a symbol, is a format limit: a larger symbol is malformed input.
 
 One rule bounds every list a report makes, here and in the decoder's cache
 audit: a list names at most LISTED entries and closes with one entry that
-counts the rest exactly.  The C3 faults are one table of columns, one row
-per bad pair, that the verifier and the decoder both read.
+counts the rest exactly.  The C3 faults are one scan per array that the
+verifier and the decoder both read: exact counts, and only the pairs that
+the two reports can list.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ class _CellTable:
     one ``_by_symbol`` sort on the place col * F + row; ``symbols`` holds
     the symbols present, ascending, and ``starts`` bounds each symbol's run
     of cells; ``slot_of`` maps a cell to the index of its symbol,
-    ``faults`` holds the pairs breaking C3 as columns, and
+    ``faults`` counts the pairs breaking C3 and keeps the listed ones, and
     ``degree_classes`` groups the slots by cell count.  The arrays are
     read-only; the last three are built on first use.
     """
@@ -308,45 +309,45 @@ class _CellTable:
         return cells, slots, classes
 
     @cached_property
-    def faults(self) -> tuple:
-        """The pairs breaking C3 as columns: (symbol, r1, c1, r2, c2,
-        uncached), one row per pair.
+    def faults(self) -> _kernels.PairScan:
+        """The pairs breaking C3, counted exactly, with a few of them kept.
 
-        Pairs come in the table's order: by symbol, then by the (column,
-        row) of the first cell (r1, c1), then of the second (r2, c2).
-        ``uncached`` is an (n, 2) bool array that flags the cross cells
-        (r1, c2) and (r2, c1), in that order, that are not stars.  A star
-        at (r1, c2) is user c2 caching the packet of the term at (r1, c1),
-        so one table serves the verifier and the decoder's cache audit.
-        All indices are 0-based and the arrays are read-only.  The scan
-        gathers the g x g cross cells of each symbol of g cells; their sum
-        is held to C3_WORK_CAP.  It gathers them from the transient
+        It holds the C3a and C3b counts, the decoder's cache-audit notes per
+        user, and three lists of at most LISTED pairs each: the C3a and the
+        C3b pairs with the smallest row-major keys, which the verifier
+        lists, and the first pairs in the table's order (by symbol, then by
+        the (column, row) of the first cell, then of the second), which the
+        decoder lists; ``fault_rows`` reads them.  A star at the cross cell
+        (r1, c2) is user c2 caching the packet of the term at (r1, c1), so
+        one scan serves the verifier and the decoder's cache audit.  The
+        scan gathers the g x g cross cells of each symbol of g cells; their
+        sum is held to C3_WORK_CAP.  It gathers them from the transient
         one-byte mask ``grid != STAR`` (F * K bytes), not from the int32
-        grid, in (block rows, block columns, symbols) tiles.
+        grid, in tiles of at most _kernels.CHUNK_CELLS entries, and keeps no
+        bad pair beyond the listed ones, so its memory is one tile plus the
+        lists however many pairs are bad.
         """
         g = np.diff(self.starts).astype(np.uint64)
         # exact: the sum is below (cells)^2 < 2^64
         _check_cap(int(g @ g), C3_WORK_CAP,
                    "the C3 pair scan would gather {} cross-cell entries")
-        grid = self.grid
-        pairs = _kernels.c3_pair_scan(grid != STAR, self.rows, self.cols,
-                                      self.starts)
-        r1, r2 = self.rows[pairs.T]
-        c1, c2 = self.cols[pairs.T]
-        del pairs
-        uncached = np.stack((grid[r1, c2], grid[r2, c1]), axis=1) != STAR
-        faults = (grid[r1, c1], r1, c1, r2, c2, uncached)
-        for a in faults:
+        scan = _kernels.c3_pair_scan(self.grid != STAR, self.rows, self.cols,
+                                     self.starts, LISTED)
+        for a in (scan.notes, scan.first, *scan.by_place):
             a.flags.writeable = False
-        return faults
+        return scan
 
-    def fault_rows(self, index):
-        """The faults at ``index`` (a slice, or a list of rows) as Python
-        tuples (symbol, r1, c1, r2, c2, u1, u2): u1 and u2 are the
-        ``uncached`` flags of the cross cells (r1, c2) and (r2, c1)."""
-        sym, r1, c1, r2, c2, uncached = self.faults
-        columns = (sym, r1, c1, r2, c2, uncached[:, 0], uncached[:, 1])
-        return zip(*(a[index].tolist() for a in columns))
+    def fault_rows(self, cells) -> list:
+        """The pairs of an (m, 4) array of (r1, c1, r2, c2) as Python tuples
+        (symbol, r1, c1, r2, c2, u1, u2): u1 and u2 flag the cross cells
+        (r1, c2) and (r2, c1) that are not stars.  All indices are 0-based.
+        """
+        r1, c1, r2, c2 = cells.T
+        grid = self.grid
+        return list(zip(grid[r1, c1].tolist(), r1.tolist(), c1.tolist(),
+                        r2.tolist(), c2.tolist(),
+                        (grid[r1, c2] != STAR).tolist(),
+                        (grid[r2, c1] != STAR).tolist()))
 
 
 def _cell_table(arr: PdaArray) -> _CellTable:
@@ -384,13 +385,14 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
     LISTED entries, in that order (columns and symbols ascending, C3 pairs
     by condition, then locations), and closes with one violation that
     holds the exact count of the rest, so a huge declared S or a grid of
-    many bad pairs stays cheap to report.  The C3 pairs are the cell
-    table's fault columns; the listed ones are picked by one partition of
-    a packed key per condition, not a sort of every pair.  The C3 pass
-    gathers, for each symbol of g cells, the g x g block of its cross
-    cells: sum over symbols of g^2 cells, in bounded chunks, never
-    (F*K)^2.  Above C3_WORK_CAP such cells it raises SizeCapError before
-    gathering any.
+    many bad pairs stays cheap to report.  The C3 list and its closing
+    counts come from the cell table's ``faults``: the exact C3a and C3b
+    counts and, per condition, the LISTED pairs with the smallest packed
+    row-major keys, kept while the pairs are scanned, so no list of every
+    bad pair is ever made.  The C3 pass gathers, for each symbol of g
+    cells, the g x g block of its cross cells: sum over symbols of g^2
+    cells, in tiles of bounded size, never (F*K)^2.  Above C3_WORK_CAP such
+    cells it raises SizeCapError before gathering any.
     """
     grid = arr.grid
     violations: list[Violation] = []
@@ -436,32 +438,14 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
                                         f"symbol {s} exceeds S={s_ref}"))
         _close(violations, "C2", uniq.size - n_in, f"symbols exceed S={s_ref}")
 
-    # C3: the first LISTED of the cell table's faults, by (condition,
-    # locations); a key packs a pair's two cells, row-major, in 32 bits each
-    r1, c1, r2, c2 = table.faults[1:5]
-    key, second = r1 * arr.k, r2 * arr.k
-    key += c1
-    second += c2
-    key, second = key.view(np.uint64), second.view(np.uint64)
-    key <<= np.uint64(32)
-    key |= second
-    del second
-    c3a = (r1 == r2) | (c1 == c2)
-    listed, rest = [], []
-    for bad in (c3a, ~c3a):
-        room = LISTED - len(listed)
-        n = np.count_nonzero(bad)
-        if n > room:
-            # keys are distinct: the condition's room smallest lie below its
-            # (room + 1)-th smallest
-            part = key[bad]
-            part.partition(room)
-            bad &= key < part[room]
-            del part
-        pick = np.flatnonzero(bad)
-        listed += pick[np.argsort(key[pick])].tolist()
-        rest.append(n - pick.size)
-    for s, j1, k1, j2, k2, u1, u2 in table.fault_rows(listed):
+    # C3: the first LISTED of the cell table's kept pairs, by (condition,
+    # locations)
+    faults = table.faults
+    shared, crossed = faults.by_place
+    shared = shared[:LISTED]
+    crossed = crossed[:LISTED - len(shared)]
+    for s, j1, k1, j2, k2, u1, u2 in table.fault_rows(
+            np.concatenate((shared, crossed))):
         loc = ((j1 + 1, k1 + 1), (j2 + 1, k2 + 1))
         if j1 == j2 or k1 == k2:
             axis = "row" if j1 == j2 else "column"
@@ -473,8 +457,9 @@ def verify_pda(arr: PdaArray, *, declared_z: int | None = None,
                                 (((j1, k2), u1), ((j2, k1), u2)) if u)
             violations.append(Violation(
                 "C3b", loc, f"symbol {s}: cross cell(s) {missing} not a star"))
-    _close(violations, "C3", r1.size,
-           f"pairs break C3: {rest[0]} C3a, {rest[1]} C3b")
+    _close(violations, "C3", len(faults),
+           f"pairs break C3: {faults.c3a - len(shared)} C3a, "
+           f"{faults.c3b - len(crossed)} C3b")
     return VerificationReport(tuple(violations))
 
 

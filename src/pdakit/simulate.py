@@ -392,12 +392,13 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
 
     The log is read in order and must hold one slot per symbol, ascending,
     with this array's terms.  Cache membership of every cancellation term is
-    audited with the C3 fault columns the verifier reads: a same-symbol pair
-    whose cross cell is not a star is exactly a packet some decoder would
-    need but does not hold.  The notes of the first core.LISTED bad pairs
-    are named, in the table's order, and each user with notes from the
-    rest gets one closing "<n> more cache problems" that counts them
-    exactly; no user's ``ok`` depends on that bound.  Once every term is
+    audited with the C3 scan the verifier reads: a same-symbol pair whose
+    cross cell is not a star is exactly a packet some decoder would need
+    but does not hold.  The notes of the first core.LISTED bad pairs in
+    the table's order, which the scan keeps, are named, and each user with
+    notes from the rest gets one closing "<n> more cache problems": the
+    scan's exact count of that user's notes, less the named ones.  No
+    user's ``ok`` depends on that bound.  Once every term is
     cached, the packet decoded at term c of slot s is p_s XOR (the other
     terms) = W_c XOR rest_s, where rest_s = p_s XOR (all terms of s).  So
     every packet of slot s decodes exactly iff rest_s is zero, and a user
@@ -456,11 +457,14 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
     # cache-membership audit: every cancellation term must be held.  The
     # first LISTED bad pairs are named; each user gets one closing count of
     # its notes from the rest
-    listed = core.LISTED
-    _, _, c1, _, c2, uncached = table.faults
-    if c1.size:
-        for s, j1, k1, j2, k2, u1, u2 in table.fault_rows(slice(listed)):
+    faults = table.faults
+    if len(faults):
+        # the notes past the listed pairs, per user
+        more = faults.notes.copy()
+        for s, j1, k1, j2, k2, u1, u2 in table.fault_rows(
+                faults.first[:core.LISTED]):
             if k1 == k2:
+                more[k1] -= 1
                 user_problems.setdefault(k1, []).append(
                     f"symbol {s} occurs twice in column {k1 + 1} "
                     f"(rows {j1 + 1}, {j2 + 1}): own packets collide")
@@ -475,20 +479,13 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
                 else:
                     why = (f"is not cached: cell ({r + 1},{c + 1}) is not "
                            "a star")
+                more[c] -= 1
                 user_problems.setdefault(c, []).append(
                     f"packet (file {demanded[k1 if c == k2 else k2]}, "
                     f"row {r + 1}) needed for symbol {s} {why}")
-        if c1.size > listed:
-            # a pair within one column is one note for its user, any other
-            # pair one note for the user of each uncached cross cell
-            own = c1[listed:] == c2[listed:]
-            more = np.bincount(c1[listed:][own], minlength=arr.k)
-            for col, flag in ((c2, uncached[:, 0]), (c1, uncached[:, 1])):
-                more += np.bincount(col[listed:][~own & flag[listed:]],
-                                    minlength=arr.k)
-            for u in np.flatnonzero(more).tolist():
-                user_problems.setdefault(u, []).append(
-                    f"{more[u]} more cache problems")
+        for u in np.flatnonzero(more).tolist():
+            user_problems.setdefault(u, []).append(
+                f"{more[u]} more cache problems")
 
     decodable = not global_problems
     success = decodable and not user_problems and not wrong

@@ -94,6 +94,50 @@ def reference_pair_scan(grid, rows, cols, starts):
     return np.stack((first[bad], second[bad]), axis=1).astype(np.int64)
 
 
+def reference_scan_summary(grid, rows, cols, starts, listed):
+    """What ``pdakit._kernels.c3_pair_scan`` counts and keeps, from the full
+    list of ``reference_pair_scan``: (C3a count, C3b count, notes per user,
+    (kept C3a cells, kept C3b cells), first cells).
+
+    Cells are (r1, c1, r2, c2) lists.  The kept pairs of a condition are its
+    ``listed`` smallest by (r1 * K + c1, r2 * K + c2); the first are the
+    first ``listed`` pairs of the full list, which is in table order.  A
+    pair within one column is one note for its user; any other pair is one
+    note for user c2 when (r1, c2) is not a star and one for user c1 when
+    (r2, c1) is not.
+    """
+    grid = np.asarray(grid)
+    k = grid.shape[1]
+    pairs = reference_pair_scan(grid, rows, cols, starts)
+    cells = np.stack((rows[pairs[:, 0]], cols[pairs[:, 0]],
+                      rows[pairs[:, 1]], cols[pairs[:, 1]]), axis=1)
+    notes = [0] * k
+    for r1, c1, r2, c2 in cells.tolist():
+        if c1 == c2:
+            notes[c1] += 1
+            continue
+        notes[c2] += grid[r1, c2] != 0
+        notes[c1] += grid[r2, c1] != 0
+    r1, c1, r2, c2 = cells.T
+    shared = (r1 == r2) | (c1 == c2)
+    kept = []
+    for bad in (shared, ~shared):
+        part = cells[bad]
+        order = np.lexsort((part[:, 2] * k + part[:, 3],
+                            part[:, 0] * k + part[:, 1]))
+        kept.append(part[order][:listed].tolist())
+    return (int(shared.sum()), int((~shared).sum()), notes, kept,
+            cells[:listed].tolist())
+
+
+def scan_summary(scan):
+    """A PairScan in the form of ``reference_scan_summary``."""
+    for cells in (*scan.by_place, scan.first):
+        assert cells.dtype == np.int64 and cells.shape[1:] == (4,)
+    return (scan.c3a, scan.c3b, scan.notes.tolist(),
+            [cells.tolist() for cells in scan.by_place], scan.first.tolist())
+
+
 def naive_equivalent(ga, gb) -> bool:
     """True when grid gb is grid ga under a bijective relabeling of its
     symbols: same shape and star pattern (0), and the cell-wise symbol map

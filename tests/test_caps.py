@@ -70,14 +70,15 @@ def test_refusal_text(monkeypatch, refuse, message):
     assert str(info.value) == message
 
 
-def run_limited(*argv, timeout=60):
-    """Run ``pda`` as a child process under a 2 GiB address-space limit,
+def run_limited(*argv, timeout=60, program=("-m", "pdakit.cli")):
+    """Run ``pda``, or another ``program`` given as Python's options, as a
+    child process under a 2 GiB address-space limit and a timeout, both
     set on the child only: (exit code, stdout, stderr, seconds)."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
     env = dict(os.environ, PYTHONPATH=str(Path(pdakit.__file__).parents[1]))
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "pdakit.cli", *argv],
+    proc = subprocess.run([sys.executable, *program, *argv],
                           capture_output=True, text=True, env=env,
                           preexec_fn=limit, timeout=timeout)
     return (proc.returncode, proc.stdout, proc.stderr,
@@ -135,6 +136,20 @@ class TestC3WorkCap:
         assert len(out.encode()) < 200 << 10
         assert out.splitlines()[-1] == (
             "  C3 20125848 more pairs break C3: 612995 C3a, 19512853 C3b")
+
+    def test_one_column_of_ones_exits_1_in_bounded_memory(self, tmp_path):
+        # one symbol of 32768 cells in one column: 2^30 cross cells, exactly
+        # the work cap, and 536854528 bad pairs, none of them kept beyond
+        # the listed 1000
+        path = tmp_path / "column.pda"
+        path.write_text("1 32768 0 1\n" + "1\n" * 32768)
+        code, out, err, _ = run_limited("verify", str(path), timeout=120)
+        assert code == 1 and "Traceback" not in err
+        lines = out.splitlines()
+        assert lines[0] == "invalid: 1001 violation(s)"
+        assert lines[1] == "  C3a (1,1) (2,1) symbol 1 repeats in column 1"
+        assert lines[-1] == ("  C3 536853528 more pairs break C3: "
+                             "536853528 C3a, 0 C3b")
 
 
 class TestUserCountCap:
@@ -369,6 +384,33 @@ def test_extreme_option_values_end_in_an_exit_code(argv):
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().encode()) < 1024
     assert time.perf_counter() - start < 5
+
+
+# pda with the caps lowered as above, for a child process
+LOWERED_CAPS = """
+import sys
+from unittest import mock
+from pdakit import constructions, core, simulate
+from pdakit.cli import main
+with mock.patch.object(simulate, "BYTE_CAP", 1 << 20), \\
+        mock.patch.object(core, "DEMAND_WORK_CAP", 10**5), \\
+        mock.patch.object(constructions, "CELL_CAP", 10**5):
+    sys.exit(main(sys.argv[1:]))
+"""
+
+
+@settings(max_examples=6, deadline=None)
+@given(extreme_argv())
+def test_extreme_option_values_end_in_an_exit_code_in_a_process(argv):
+    # a few of the cases above, each in a child process under the
+    # address-space limit, so a traceback, a crash or a run away is seen
+    # as the shell sees it
+    code, _, err, seconds = run_limited(*argv, timeout=30,
+                                        program=("-c", LOWERED_CAPS))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert len(err.encode()) < 1024
+    assert seconds < 10
 
 
 class TestDemandWorkCap:

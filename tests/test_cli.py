@@ -1,13 +1,20 @@
 """Command-line behavior: outputs, presets, exit codes."""
 
+import ctypes
 import hashlib
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+import types
+from pathlib import Path
 
 import pytest
 
+import pdakit
 from helpers import FIXTURES, fixture_text
-from pdakit import _kernels, construct_mn, save, simulate
+from pdakit import _kernels, cli, construct_mn, save, simulate
 from pdakit.cli import main
 
 
@@ -653,3 +660,54 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--k", "3", "--ratio", "1/2")
         assert code == 0
         assert "0 scheme(s)" in out
+
+
+def _no_library():
+    raise OSError("no C library")
+
+
+class TestAllocatorPin:
+    @pytest.fixture(autouse=True)
+    def unpinned(self):
+        # each test starts as a fresh process would, and leaves the next
+        # main() to pin the real allocator again
+        cli._pin_allocator.cache_clear()
+        yield
+        cli._pin_allocator.cache_clear()
+
+    def test_thresholds_pinned_once_per_process(self, capsys, monkeypatch):
+        calls = []
+        libc = types.SimpleNamespace(
+            mallopt=lambda param, value: calls.append((param, value)) or 1)
+        monkeypatch.setattr(cli, "_libc", lambda: libc)
+        for _ in range(2):
+            run(capsys, "verify", str(FIXTURES / "mn_k4_t2.pda"))
+        assert calls == [(-3, 16 << 20), (-1, 32 << 20)]
+        assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+    def test_import_pins_nothing(self):
+        code = ("import pdakit, pdakit.cli; "
+                "print(pdakit.cli._pin_allocator.cache_info().currsize)")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(pdakit.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout == "0\n"
+
+    @pytest.mark.parametrize("lookup", [types.SimpleNamespace, _no_library],
+                             ids=["no-mallopt", "no-library"])
+    def test_same_results_without_mallopt(self, capsys, monkeypatch,
+                                          tmp_path, lookup):
+        bad = corrupted(tmp_path, "mn_k4_t2.pda", [(4, 1, "2")])
+        commands = [
+            ["verify", str(FIXTURES / "mn_k4_t2.pda")],
+            ["verify", str(bad)],
+            ["simulate", str(bad), "--seed", "3"],
+            ["construct", "--family", "special", "--q", "3", "--z", "2",
+             "--m", "2"],
+            ["verify", str(tmp_path / "missing.pda")]]
+        pinned = [run(capsys, *argv) for argv in commands]
+        cli._pin_allocator.cache_clear()
+        monkeypatch.setattr(cli, "_libc", lookup)
+        assert [run(capsys, *argv) for argv in commands] == pinned
+        assert [code for code, _, _ in pinned] == [0, 1, 1, 0, 2]

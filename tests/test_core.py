@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import fixture_text, naive_check, reference_pair_scan
+from helpers import (fixture_text, naive_check, reference_scan_summary,
+                     scan_summary)
 from pdakit import (PacketStore, PdaArray, PdaError, PdaParams, _kernels,
                     canonicalize, construct_ext_general, construct_mn,
                     deliver, equivalent, params_of, parse, verify_pda)
@@ -113,15 +114,15 @@ class TestPairScan:
         t = _CellTable(grid)
         rows, cols, starts = t.rows, t.cols, t.starts
         monkeypatch.setattr(_kernels, "CHUNK_CELLS", 1 << 14)
-        scan = lambda: _kernels.c3_pair_scan(grid, rows, cols, starts)
+        scan = lambda: _kernels.c3_pair_scan(grid, rows, cols, starts, 2)
         scan()  # numpy's lazy imports are not the scan's memory
-        pairs, peak = _peak(scan)
-        expected = reference_pair_scan(grid, rows, cols, starts)
-        assert pairs.dtype == expected.dtype == np.int64
-        assert np.array_equal(pairs, expected)
-        cells = np.stack((rows[pairs[:, 0]], cols[pairs[:, 0]],
-                          rows[pairs[:, 1]], cols[pairs[:, 1]]), axis=1)
-        assert cells.tolist() == [[0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1]]
+        got, peak = _peak(scan)
+        expected = reference_scan_summary(grid, rows, cols, starts, 2)
+        assert scan_summary(got) == expected
+        assert expected[:2] == (2, 1)
+        assert expected[3:] == ([[[0, 0, 0, 1], [0, 1, 1, 1]],
+                                 [[0, 0, 1, 1]]],
+                                [[0, 0, 0, 1], [0, 0, 1, 1]])
         # listing all 500,500 pairs of the group would take over 20 MB
         assert peak < 1 << 20
 
@@ -135,8 +136,22 @@ class TestPairScan:
             return scan(grid, *args)
         monkeypatch.setattr(_kernels, "c3_pair_scan", recorded)
         arr = PdaArray.from_rows([[1, 2], [2, 1]])
-        assert len(_CellTable(arr.grid).faults[0]) == 2
+        assert len(_CellTable(arr.grid).faults) == 2
         assert seen == [(1, (2, 2))]
+
+    @pytest.mark.parametrize("grid", [
+        construct_ext_general(5, 3, 4, 2).grid,
+        # one symbol of 4096 cells, a 64 x 64 block of a 64 x 6400 grid,
+        # whose pairs in a row or column all break C3
+        np.pad(np.ones((64, 64), dtype=np.int32), ((0, 0), (0, 6336)))],
+        ids=["valid-ext-general", "one-group"])
+    def test_faults_peak_memory(self, grid):
+        # the scan holds a tile and the kept pairs, not one entry per
+        # cross cell or per bad pair
+        _CellTable(grid).faults  # numpy's lazy imports
+        t = _CellTable(grid)
+        faults, peak = _peak(lambda: t.faults)
+        assert peak < 6 << 20
 
     def test_verify_peak_memory(self):
         arr = construct_ext_general(5, 3, 4, 2)

@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from helpers import (log_of, naive_c2, naive_check, naive_equivalent,
-                     reference_pair_scan, slots)
+                     reference_pair_scan, reference_scan_summary,
+                     scan_summary, slots)
 from pdakit import (STAR, ConstructionParams, PacketStore, PdaArray,
                     _kernels, canonicalize,
                     construct, core, decode_and_verify, deliver, emit,
@@ -52,21 +53,23 @@ def scan_grids(draw):
 
 
 @settings(max_examples=200)
-@given(scan_grids(), st.sampled_from([1, 3, 7, 20, 64, 1 << 22]))
-def test_pair_scan_matches_reference(grid, chunk):
-    # small chunks split groups into bands of block rows and columns
+@given(scan_grids(), st.sampled_from([1, 3, 7, 20, 64, 1 << 18, 1 << 22]),
+       st.sampled_from([1, 3, 1000]))
+def test_pair_scan_matches_reference(grid, chunk, listed):
+    # small chunks split groups into bands of block rows and columns; the
+    # counts and the kept pairs match those taken from every pair
     t = _CellTable(grid)
     rows, cols, starts = t.rows, t.cols, t.starts
     vals = grid[rows, cols]
     assert np.array_equal(np.lexsort((rows, cols, vals)), np.arange(vals.size))
     with mock.patch.object(_kernels, "CHUNK_CELLS", chunk):
-        got = _kernels.c3_pair_scan(grid, rows, cols, starts)
-        # the one-byte non-star mask gives the same pairs in the same order
-        masked = _kernels.c3_pair_scan(grid != 0, rows, cols, starts)
-    expected = reference_pair_scan(grid, rows, cols, starts)
-    assert got.dtype == expected.dtype == masked.dtype == np.int64
-    assert np.array_equal(got, expected)
-    assert np.array_equal(masked, got)
+        got = _kernels.c3_pair_scan(grid, rows, cols, starts, listed)
+        # the one-byte non-star mask gives the same counts and pairs
+        masked = _kernels.c3_pair_scan(grid != 0, rows, cols, starts, listed)
+    expected = reference_scan_summary(grid, rows, cols, starts, listed)
+    assert scan_summary(got) == expected
+    assert scan_summary(masked) == expected
+    assert len(got) == len(reference_pair_scan(grid, rows, cols, starts))
 
 
 def report_lists(report):
