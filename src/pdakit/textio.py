@@ -15,11 +15,16 @@ A header declaring more than ``CELL_CAP`` cells (F*K) raises
 ``SizeCapError`` before the body is read.  A plain body, exactly F
 newline-ended rows of ASCII tokens separated by spaces and tabs, is
 converted straight from its bytes in numpy, a block of rows at a time.
-Any other body (comments, blank lines, CR or CRLF line ends, other
-separators, non-ASCII text) or any fault sends the whole file to the line
-reader: its content lines go through the same converter a block at a
-time, a block it refuses is read token by token, and only that reader
-raises ``PdaFormatError``, naming the line and token of the first fault.
+The converter's byte passes find and check every token, but only the
+symbol tokens get digit passes: a star, most of the cells of a
+high-memory array, is just a zero of the block.  Any other body
+(comments, blank lines, CR or CRLF line ends, other separators, non-ASCII
+text) or any fault sends the whole file to the line reader: its content
+lines go through the same converter a block at a time, a block it refuses
+is read token by token, and only that reader raises ``PdaFormatError``,
+naming the line and token of the first fault.  ``load`` reads a file as
+ASCII, each other byte as U+FFFD, so a non-ASCII byte is skipped in a
+comment and is a fault anywhere else.
 
 The parser checks shape and token syntax only; cross-checking the declared
 Z and S against the cell contents is the verifier's job, so an invalid file
@@ -54,8 +59,9 @@ class PdaFormatError(ValueError):
 
 # body rows are converted and emitted in blocks of about this many cells,
 # which bounds the temporary arrays; converting a whole 1 MB body at once
-# was 2-3 times slower
-_BLOCK_CELLS = 1 << 16
+# was 2-3 times slower, and 2^15 parsed the round-trip arrays about 3%
+# faster than 2^16 and emitted them as fast
+_BLOCK_CELLS = 1 << 15
 
 
 class PdaHeader(NamedTuple):
@@ -212,9 +218,12 @@ def _read_lines(lines: list[str], lineno: int, k: int,
 def _convert(raw: np.ndarray, k: int, out: np.ndarray) -> bool:
     """Convert the bytes of ``len(out)`` newline-ended rows into ``out``.
 
-    Returns False, leaving ``out`` partly written, when any byte, row
-    length, token or value is outside the plain case: tokens of ASCII
-    digits or a lone ``*``, separated by spaces and tabs, K to a row.
+    Byte passes find and check the tokens; the digit passes, one per
+    digit place of the widest symbol, run over the symbol tokens alone,
+    whose values are then scattered into a block of stars.  Returns
+    False, without writing ``out``, when any byte, row length, token or
+    value is outside the plain case: tokens of ASCII digits or a lone
+    ``*``, separated by spaces and tabs, K to a row.
     """
     # each byte's digit value: 0-9 for a digit, wrapped past 9 otherwise
     value = raw - np.uint8(ord("0"))
@@ -227,42 +236,49 @@ def _convert(raw: np.ndarray, k: int, out: np.ndarray) -> bool:
     plain |= raw == ord("\t")
     if not plain.all():
         return False
+    # a star is a token on its own: no token byte on either side of it
+    if (star[1:] & token[:-1]).any() or (star[:-1] & token[1:]).any():
+        return False
     # each token is a run of digit and star bytes; the rows end in "\n"
     edges = np.flatnonzero(np.diff(token, prepend=False))
     starts, ends = edges[0::2].copy(), edges[1::2].copy()
     n = len(out)
     if len(starts) != n * k:
         return False
-    # tokens before each row's newline: k, 2k, ... when every row holds k
-    if not np.array_equal(np.searchsorted(starts, np.flatnonzero(newline)),
-                          np.arange(k, (n + 1) * k, k)):
+    # every row holds k tokens: counting from 1, token ik starts before
+    # newline i and token ik + 1 after it
+    rows = np.flatnonzero(newline)
+    if len(rows) != n or (starts[k - 1::k] > rows).any() or \
+            (starts[k::k] < rows[:-1]).any():
         return False
-    length = ends - starts
-    width = int(length.max())
+    # the symbol tokens, the ones that start with a digit: only they get
+    # digit passes, so a star costs byte passes alone
+    symbol = np.flatnonzero(digit.take(starts))
+    place, before = ends.take(symbol), starts.take(symbol)
+    width = int((place - before).max(initial=0))
     if width > len(str(SYMBOL_MAX)):
         return False
-    stars = raw.take(starts) == ord("*")
-    if np.count_nonzero(star) != np.count_nonzero(stars) or \
-            (stars & (length != 1)).any():
-        return False
-    # a token's value, right-aligned: its d-th digit from the end is the
-    # byte at ends - d, or once d passes its length the separator before
-    # it, which reads as 0; a lone star reads as 0, which is STAR.  Nine
-    # digits fit in int32; ten need int64 until the range check.  The
-    # multiply names its dtype: NumPy 1.x would pick a uint8 loop by value
+    # a symbol's value, right-aligned: its d-th digit from the end is the
+    # byte at its end - d, or once d passes its length the separator
+    # before it, which reads as 0.  Nine digits fit in int32; ten need
+    # int64 until the range check.  The multiply names its dtype: NumPy
+    # 1.x would pick a uint8 loop by value
     value *= digit
     dtype = np.int32 if width < len(str(SYMBOL_MAX)) else np.int64
-    values = np.zeros(len(starts), dtype=dtype)
+    values = np.zeros(len(symbol), dtype=dtype)
     terms = np.empty_like(values)
-    place, before = ends, starts - 1
+    before -= 1
     for d in range(width):
         place -= 1
         np.maximum(place, before, out=place)
         values += np.multiply(value.take(place), 10 ** d, out=terms,
                               dtype=dtype)
-    if ((values < 1) & ~stars).any() or values.max() > SYMBOL_MAX:
+    if values.min(initial=1) < 1 or values.max(initial=0) > SYMBOL_MAX:
         return False
-    out[...] = values.reshape(n, k)
+    # every other cell holds a star, which is 0: STAR.  ``out`` is rows
+    # of a C-contiguous grid, so its flat reshape is a view
+    out[...] = STAR
+    out.reshape(-1)[symbol] = values
     return True
 
 
@@ -335,7 +351,10 @@ def load(path) -> PdaArray:
 
 
 def load_with_header(path) -> tuple[PdaArray, PdaHeader]:
-    with open(path, "r", encoding="ascii") as fh:
+    """Parse a file's text, read as ASCII with each other byte replaced
+    by U+FFFD: such a byte reaches the line reader, which skips it in a
+    comment and names its line anywhere else."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         return parse_with_header(fh.read())
 
 

@@ -1,13 +1,16 @@
 """Text format: grammar, error positions, round trips."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import fixture_text
-from pdakit import (PdaArray, SizeCapError, canonicalize, emit, parse,
-                    verify_pda)
+from helpers import fixture_text, naive_parse
+from pdakit import (STAR, PdaArray, SizeCapError, canonicalize, emit, parse,
+                    textio, verify_pda)
+from pdakit.cli import main
 from pdakit.textio import PdaFormatError, load, parse_with_header, save
 
 
@@ -211,3 +214,115 @@ class TestEmit:
         arr = PdaArray([[1], [0], [12]])
         assert emit(arr) == "1 3 1 12\n1\n*\n12\n"
         assert parse(emit(arr)) == arr
+
+
+class TestLoad:
+    """A file is read as ASCII, each other byte as U+FFFD, so ``load``
+    gives what ``parse`` gives for that text: a non-ASCII byte is skipped
+    in a comment and is a parse error, named by its line, anywhere else."""
+
+    def test_non_ascii_comment_skipped(self, tmp_path, capsys):
+        path = tmp_path / "a.pda"
+        path.write_bytes("# caf\u00e9\n2 2 1 1\n* 1\n1 *\n".encode())
+        assert load(path).to_rows() == [["*", 1], [1, "*"]]
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("valid (K,F,Z,S)=(2, 2")
+
+    @pytest.mark.parametrize("data, where, message", [
+        ("2 2 1 1\n* 1\n1 \u00e9\n".encode(), (3, 2),
+         "line 3, token 2: symbol '\ufffd\ufffd' is not an integer"),
+        (b"2 2 1 1\n* 1\n1 7\xff\n", (3, 2),
+         "line 3, token 2: symbol '7\ufffd' is not an integer"),
+        # a no-break space is not a separator
+        ("2 2 1 1\n* 1\n1\u00a0*\n".encode(), (3, None),
+         "line 3: row has 1 tokens, expected K=2"),
+    ], ids=["token", "undecodable", "no-break space"])
+    def test_non_ascii_elsewhere_named(self, tmp_path, capsys, data, where,
+                                       message):
+        path = tmp_path / "a.pda"
+        path.write_bytes(data)
+        with pytest.raises(PdaFormatError) as err:
+            load(path)
+        assert (err.value.line, err.value.column) == where
+        assert str(err.value) == message
+        with pytest.raises(PdaFormatError) as parsed:
+            parse(data.decode("ascii", "replace"))
+        assert str(parsed.value) == message
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+# -- the converter on star-heavy and symbol-heavy bodies ---------------
+
+BLOCK = textio._BLOCK_CELLS
+# tokens put in place of body tokens: a star beside a digit or a star,
+# zeros, and ten digits, which the converter sums in int64
+CONVERTER_EDITS = (None, "1*", "*1", "**", "0", "00", "1000000000",
+                   "2147483647", "2147483648")
+STAR_SHARES = {"mostly stars": (0.9, 0.99, 1.0),
+               "mostly symbols": (0.0, 0.1, 0.3)}
+
+
+def _outcome(text):
+    try:
+        arr, header = parse_with_header(text)
+    except PdaFormatError as exc:
+        return ("error", exc.line, exc.column)
+    return ("ok", tuple(header), arr.to_rows())
+
+
+def _body_text(f, k, share, top, rng):
+    """An emitted file of F x K cells, each a star with chance ``share``
+    and otherwise a symbol in 1..top."""
+    grid = rng.integers(1, top, size=(f, k), endpoint=True, dtype=np.int32)
+    grid[rng.random((f, k)) < share] = STAR
+    return emit(PdaArray(grid))
+
+
+@st.composite
+def converter_texts(draw, wide, stars, edit):
+    """A file of two or three row blocks, wide (K above the block size,
+    one row a block) or tall (several rows a block), with ``edit`` in
+    place of one to three tokens anywhere in its body."""
+    blocks = draw(st.integers(2, 3))
+    if wide:
+        k, f = draw(st.integers(BLOCK + 1, BLOCK + 40)), blocks
+    else:
+        k = draw(st.integers(1, 4))
+        f = (blocks - 1) * (BLOCK // k) + draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = _body_text(f, k, draw(st.sampled_from(STAR_SHARES[stars])),
+                       draw(st.sampled_from((9, 10**5, 2**31 - 1))),
+                       rng).split("\n")
+    for _ in range(draw(st.integers(1, 3)) if edit else 0):
+        row = draw(st.integers(1, f))
+        toks = lines[row].split(" ")
+        toks[draw(st.integers(0, k - 1))] = edit
+        lines[row] = " ".join(toks)
+    return "\n".join(lines)
+
+
+class TestConverter:
+    @pytest.mark.parametrize("edit", CONVERTER_EDITS)
+    @pytest.mark.parametrize("stars", sorted(STAR_SHARES))
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, wide, stars, edit, data):
+        text = data.draw(converter_texts(wide, stars, edit))
+        with mock.patch.object(textio, "_read_lines",
+                               wraps=textio._read_lines) as line_reader:
+            outcome = _outcome(text)
+        assert outcome == naive_parse(text)
+        # the converter takes every plain body the grammar accepts, so
+        # only a fault reaches the line reader
+        assert line_reader.called == (outcome[0] == "error")
+
+    @pytest.mark.parametrize("f, k", [(3 * BLOCK, 1), (3, BLOCK + 1)])
+    def test_all_star_body_of_several_blocks(self, f, k):
+        # no symbol token: no digit pass at all
+        text = _body_text(f, k, 1.0, 9, np.random.default_rng(0))
+        with mock.patch.object(textio, "_read_lines") as line_reader:
+            arr = parse(text)
+        assert not line_reader.called
+        assert not arr.grid.any() and arr.grid.shape == (f, k)
