@@ -23,18 +23,25 @@ The slots, their terms and the cache audit depend on the array alone: they
 are the array's cell table (core), built once and kept on the array, so a
 demand only gathers packets from the flat (N*F, packet_size) store and XORs
 them.  The table groups the slots by degree g, their term count (every
-constructed array has a single degree), and the n slots of a degree are
-worked term-major: their store rows form a C-contiguous (g, n) index whose
-row a holds term a of every slot, and each take reads the next ceil(g / n)
-rows, XORs them and XORs the result into the n slots' running payloads;
-the first take of a degree writes those payloads.  That is at most
-min(g, n) takes per degree, none larger than n + g packets, and each taken
+constructed array has a single degree).  The n slots of a degree are cut
+into contiguous slices, one per usable CPU (os.sched_getaffinity, else
+os.cpu_count) when the degree gathers at least 1 MiB and each slice keeps
+at least 64 KiB of packets per term, else one slice; the calling thread
+and a small pool of worker threads, kept for the process and dropped in a
+forked child, work the slices at once.  A slice of m slots is worked
+term-major: their store rows form a C-contiguous (g, m) index whose row a
+holds term a of every slot, and each take reads the next ceil(g / m)
+rows, XORs them and XORs the result into the m slots' running payloads;
+the first take of a slice writes those payloads.  That is at most
+min(g, m) takes per slice, none larger than m + g packets, and each taken
 block is dropped before the next take, so a delivery holds at most one
-block besides its payloads, never all its gathered packets at once.  A
-store's N*F*packet_size bytes and a delivery's gathered (non-star
-cells)*packet_size bytes are both held to BYTE_CAP, checked before anything
-is allocated.  A TransmissionLog is columns over that table: the slot
-symbols and term bounds and the terms themselves are the table's own
+block per worker, the calling thread counted, besides its payloads, never
+all its gathered packets at once.  Each slice writes only its own
+payloads, so they do not depend on the split.  A store's
+N*F*packet_size bytes and a delivery's gathered (non-star
+cells)*packet_size bytes are both held to BYTE_CAP, checked before
+anything is allocated.  A TransmissionLog is columns over that table: the
+slot symbols and term bounds and the terms themselves are the table's own
 read-only arrays, and the payloads are one flat byte array; these six
 columns are the log's only form, and its one constructor takes them.  Its
 trace is streamed from them in chunks of TRACE_BLOCK slots, each chunk
@@ -70,6 +77,9 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -84,6 +94,39 @@ DEFAULT_PACKET_SIZE = 64
 # the most bytes a packet store (N*F*packet_size) or a delivery's gathered
 # packets (non-star cells * packet_size) may hold
 BYTE_CAP = 1 << 30
+# A degree class is split among the usable CPUs only when it gathers at
+# least _SPLIT_BYTES (slots x degree x packet_size), and into no more
+# slices than leave each slice _SLICE_TERM_BYTES of packets per term (its
+# slots x packet_size, the least a take of it reads).  Below either,
+# handing a slice to a worker, or passing the GIL between small takes,
+# costs more than overlapping the reads saves (measured; see CHANGES.md).
+_SPLIT_BYTES = 1 << 20
+_SLICE_TERM_BYTES = 1 << 16
+
+# the gather's worker threads, made by the first split gather, and the
+# lock under which a gather reads or makes them
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads, and the lock may
+    have been held by one of them: its first split gather makes its own
+    pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,50 +367,107 @@ def _gather(store: PacketStore, d: np.ndarray, table) -> np.ndarray:
     """The read-only (S, packet_size) uint8 XOR of each slot's packets of
     the cell table, for the int64 demand d that _prepare returned.
 
-    Each degree class of n slots of degree g is worked term by term: its
-    cells' store rows form a C-contiguous (g, n) index, built slot-major
-    from the table's columns and transposed once, whose row a holds term a
-    of each of the n slots.  Each take reads b = ceil(g / n) of its rows,
-    whose packets are XORed over the b terms; the first take writes the
-    class's n rows of the XORs, and each later one is XORed into them.  So
-    a class costs at most min(g, n) takes, no take holds more than n + g
-    packets, and no block is still held when the next is taken: the
-    (cells, packet_size) block of all gathered packets is never built, and
-    the XORs need no zeroing.  When the slots have several degrees, the
-    XORs come out in class order and are put back in slot order.
+    Each degree class of n slots of degree g is cut into contiguous slices
+    of its slots: one slice per usable CPU when the class gathers at least
+    _SPLIT_BYTES (n g packet_size bytes), but no more than n packet_size /
+    _SLICE_TERM_BYTES slices; otherwise one slice.  The calling
+    thread works the first slice and the pool's workers the others, at
+    once; numpy's takes and XORs release the GIL, so the slices' reads
+    from the store overlap.  Each slice writes only its own rows of the
+    XORs, so the bytes do not depend on the split, and the call returns
+    once every slice has ended, raising the first slice's exception, in
+    slot order, if any raised.  A slice is worked term by term by
+    _xor_slots, which holds one take block at a time, so a delivery holds
+    at most one block per worker (the calling thread included) besides its
+    XORs.  When the slots have several degrees, the XORs come out in class
+    order and are put back in slot order.
     """
     cells, slots, classes = table.degree_classes
     # XOR whole machine words, the widest that divides a packet
     words = store.data.reshape(-1, store.packet_size).view(
         f"u{math.gcd(store.packet_size, 8)}")
-    # every row is written by the first take of its class
+    # every row is written by the first take of its slice
     totals = np.empty((table.symbols.size, words.shape[1]), words.dtype)
     # cell (j, k) reads row (d_k - 1) F + j of the (N F, packet_size) view
     base = (d - 1) * store.f
     for g, in_slots, in_cells in classes:
-        if cells is not None:
-            in_cells = cells[in_cells]
-        # indexing, not take: take copies a read-only index first, and the
-        # table's columns are read-only
-        terms = base[table.cols[in_cells]]
-        terms += table.rows[in_cells]
-        # row a holds term a of each of the class's n slots
-        terms = np.ascontiguousarray(terms.reshape(-1, g).T)
-        # b rows per take keep each take within n + g packets and the loop
-        # within min(g, n) takes; no take is still bound when the next
-        # one is made
-        b = -(-g // terms.shape[1])
-        acc = totals[in_slots]
-        np.bitwise_xor.reduce(words.take(terms[:b], axis=0), axis=0, out=acc)
-        for a in range(b, g, b):
-            acc ^= (np.bitwise_xor.reduce(words.take(terms[a:a + b], axis=0))
-                    if b > 1 else words.take(terms[a:a + 1], axis=0)[0])
+        n = in_slots.stop - in_slots.start
+        parts = 1
+        if n * g * store.packet_size >= _SPLIT_BYTES:
+            parts = max(1, min(_usable_cpus(), n, n * store.packet_size
+                               // _SLICE_TERM_BYTES))
+        jobs = []
+        for i in range(parts):
+            # the slice's slots, and their cells at g per slot
+            lo, hi = n * i // parts, n * (i + 1) // parts
+            at = slice(in_cells.start + lo * g, in_cells.start + hi * g)
+            jobs.append(partial(
+                _xor_slots, words, base, table,
+                at if cells is None else cells[at], g,
+                totals[in_slots.start + lo:in_slots.start + hi]))
+        _run(jobs)
     if slots is not None:
         unsorted = np.empty_like(totals)
         unsorted[slots] = totals
         totals = unsorted
     totals.flags.writeable = False
     return totals.view(np.uint8)
+
+
+def _xor_slots(words: np.ndarray, base: np.ndarray, table, in_cells, g: int,
+               acc: np.ndarray) -> None:
+    """Write into acc, one row per slot, the XORs of n slots of degree g
+    whose cells are in_cells of the table.
+
+    The slots are worked term by term: their cells' store rows form a
+    C-contiguous (g, n) index, built slot-major from the table's columns
+    and transposed once, whose row a holds term a of each of the n slots.
+    Each take reads b = ceil(g / n) of its rows, whose packets are XORed
+    over the b terms; the first take writes acc, and each later one is
+    XORed into it.  So the slots cost at most min(g, n) takes, no take
+    holds more than n + g packets, and no block is still held when the
+    next is taken: the (cells, packet_size) block of all gathered packets
+    is never built, and acc needs no zeroing.
+    """
+    # indexing, not take: take copies a read-only index first, and the
+    # table's columns are read-only
+    terms = base[table.cols[in_cells]]
+    terms += table.rows[in_cells]
+    # row a holds term a of each of the n slots
+    terms = np.ascontiguousarray(terms.reshape(-1, g).T)
+    # b rows per take keep each take within n + g packets and the loop
+    # within min(g, n) takes; no take is still bound when the next one is
+    # made
+    b = -(-g // terms.shape[1])
+    np.bitwise_xor.reduce(words.take(terms[:b], axis=0), axis=0, out=acc)
+    for a in range(b, g, b):
+        acc ^= (np.bitwise_xor.reduce(words.take(terms[a:a + b], axis=0))
+                if b > 1 else words.take(terms[a:a + 1], axis=0)[0])
+
+
+def _run(jobs: list) -> None:
+    """Call the jobs at once: the first on this thread, each other on a
+    worker of the pool, made on first use with one worker per usable CPU
+    but one.  Returns once every job has ended, and raises the first
+    exception, in job order, that one raised."""
+    global _pool
+    if len(jobs) == 1:
+        jobs[0]()
+        return
+    with _pool_lock:
+        if _pool is None:
+            # as many workers as this call needs, should the CPUs shrink
+            workers = max(len(jobs), _usable_cpus()) - 1
+            _pool = ThreadPoolExecutor(workers, "pdakit-gather")
+        pool = _pool
+    futures = [pool.submit(job) for job in jobs[1:]]
+    try:
+        jobs[0]()
+    finally:
+        # no worker may still write into the XORs once the call is over
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def deliver(arr: PdaArray, store: PacketStore, demand) -> TransmissionLog:

@@ -97,7 +97,9 @@ def _mutations(text):
 
 
 def _big_text():
-    """A 2500x40 file, two conversion blocks, with 1- to 10-digit tokens.
+    """A 2500x40 file, four conversion blocks (819 rows each at
+    `textio._BLOCK_CELLS` = 2^15, the last one 43), with 1- to 10-digit
+    tokens.
 
     Symbols hardly repeat, so `pda verify` has few cell pairs to scan.
     """

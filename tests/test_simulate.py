@@ -1,8 +1,15 @@
 """Placement, delivery, decoding against hand-computed byte oracles."""
 
+import contextlib
 import gc
 import hashlib
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 import weakref
 from fractions import Fraction
 from types import SimpleNamespace
@@ -418,12 +425,12 @@ def uneven_grids(draw):
     return grid
 
 
-def recorded(store: PacketStore, shapes: list) -> PacketStore:
-    """A new store over a copy of store's packets that appends the index
-    shape of every take on them to shapes."""
+def recorded(store: PacketStore, shapes: list, note=np.shape) -> PacketStore:
+    """A new store over a copy of store's packets that appends note(index)
+    of every take on them, by default the index shape, to shapes."""
     class Recording(np.ndarray):
         def take(self, indices, axis=None, **kwargs):
-            shapes.append(np.shape(indices))
+            shapes.append(note(indices))
             return np.asarray(self).take(indices, axis=axis, **kwargs)
 
     return PacketStore(store.n_files, store.f, store.packet_size, store.seed,
@@ -503,6 +510,243 @@ class TestXorByDegree:
                 for g, s, c in classes] == [(1, 0, 1, 0, 1), (2, 1, 3, 1, 5),
                                              (3, 3, 4, 5, 8)]
         assert cells.tolist() == [5, 3, 4, 6, 7, 0, 1, 2]
+
+
+@contextlib.contextmanager
+def split_among(workers: int):
+    """Gathers that cut every degree class of n slots into min(workers, n)
+    slices, as on a machine of that many usable CPUs, on a pool of their
+    own that is shut down on exit."""
+    with mock.patch.multiple(simulate, _SPLIT_BYTES=0, _SLICE_TERM_BYTES=1,
+                             _pool=None, _usable_cpus=lambda: workers):
+        try:
+            yield
+        finally:
+            if simulate._pool is not None:
+                simulate._pool.shutdown()
+
+
+def gathered(arr: PdaArray, store: PacketStore, demand) -> np.ndarray:
+    return simulate._gather(store, *simulate._prepare(arr, store, demand))
+
+
+def thrown_in(thread: str, delay: float = 0.0):
+    """A store whose takes raise RuntimeError(thread) on the "caller" or
+    on a "worker" thread; each take on the other side first sleeps delay
+    seconds.  Returns the store and the list of takes still running."""
+    running = []
+
+    class Throwing(np.ndarray):
+        def take(self, indices, axis=None, **kwargs):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (thread == "caller"):
+                raise RuntimeError(thread)
+            token = object()
+            running.append(token)
+            time.sleep(delay)
+            out = np.asarray(self).take(indices, axis=axis, **kwargs)
+            running.remove(token)
+            return out
+
+    plain = PacketStore.synthetic(2, MN_4_2.f, 8, seed=0)
+    return PacketStore(2, plain.f, 8, 0, plain.data.view(Throwing)), running
+
+
+class TestSplitGather:
+    """A class that gathers enough bytes is cut into one contiguous slice
+    of slots per usable CPU; the calling thread and the pool's workers
+    work the slices at once, each into its own rows of the XORs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(uneven_grids(), st.integers(1, 4), st.sampled_from([1, 3, 8, 256]),
+           st.integers(0, 2**31 - 1))
+    def test_split_equals_one_slice(self, grid, workers, size, seed):
+        arr = PdaArray(grid)
+        store = PacketStore.synthetic(3, arr.f, size, seed=seed)
+        demand = np.random.default_rng(seed).integers(1, 4, size=arr.k)
+        whole = gathered(arr, store, demand)
+        with split_among(workers):
+            split = gathered(arr, store, demand)
+            log = deliver(arr, store, demand)
+        assert split.tobytes() == whole.tobytes()
+        assert log.payload.tobytes() == whole.tobytes()
+
+    def test_split_equals_one_slice_over_several_classes(self):
+        # degrees 1, 2 and 3, and a class of four slots of degree 2
+        arr = PdaArray.from_rows([[1, 2, 2, 5], [3, 1, "*", 6],
+                                  [1, 4, 4, 5], [7, 7, 6, 8]])
+        assert len(simulate._cell_table(arr).degree_classes[2]) == 3
+        store = PacketStore.synthetic(4, arr.f, 24, seed=5)
+        whole = gathered(arr, store, [1, 2, 3, 4])
+        for workers in (2, 3, 4):
+            with split_among(workers):
+                split = gathered(arr, store, [1, 2, 3, 4])
+            assert split.tobytes() == whole.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(uneven_grids(), st.integers(2, 4))
+    def test_takes_bounded_per_slice(self, grid, workers):
+        # a slice of m slots of degree g is read in at most min(g, m)
+        # takes of at most m + g packets, on one thread, each term once
+        shapes = []
+        arr = PdaArray(grid)
+        plain = PacketStore.synthetic(2, arr.f, 8, seed=0)
+        store = recorded(plain, shapes,
+                         lambda i: (threading.get_ident(), np.shape(i)))
+        demand = [1 + u % 2 for u in range(arr.k)]
+        with split_among(workers):
+            totals = gathered(arr, store, demand)
+        assert np.array_equal(totals, gathered(arr, plain, demand))
+        _, _, classes = simulate._cell_table(arr).degree_classes
+        for g, in_slots, _ in classes:
+            n = in_slots.stop - in_slots.start
+            parts = min(workers, n)
+            # the class's takes, read before the next class's, per thread
+            by_thread, cells = {}, 0
+            while cells < g * n:
+                thread, (cols, rows) = shapes.pop(0)
+                by_thread.setdefault(thread, []).append((cols, rows))
+                cells += cols * rows
+            assert cells == g * n
+            sizes = []
+            for takes in by_thread.values():
+                while takes:
+                    m = takes[0][1]
+                    read = count = 0
+                    while read < g:
+                        cols, rows = takes.pop(0)
+                        assert rows == m and rows * cols <= m + g
+                        read += cols
+                        count += 1
+                    assert read == g and count <= min(g, m)
+                    sizes.append(m)
+            assert sorted(sizes) == sorted(
+                n * (i + 1) // parts - n * i // parts for i in range(parts))
+        assert shapes == []
+
+    def test_concurrent_callers_on_more_workers_than_cpus(self):
+        # four callers at once, each splitting among six workers, with the
+        # interpreter switching threads as often as it can
+        arr = construct_mn(8, 2)
+        store = PacketStore.synthetic(3, arr.f, 16, seed=6)
+        rng = np.random.default_rng(6)
+        demands = [rng.integers(1, 4, size=arr.k) for _ in range(4)]
+        wants = [gathered(arr, store, d).tobytes() for d in demands]
+        got = [[] for _ in demands]
+
+        def caller(i):
+            for _ in range(25):
+                got[i].append(gathered(arr, store, demands[i]).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with split_among(6):
+                callers = [threading.Thread(target=caller, args=(i,))
+                           for i in range(len(demands))]
+                for t in callers:
+                    t.start()
+                for t in callers:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in callers)
+                pool = simulate._pool
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool is not None
+        assert got == [[want] * 25 for want in wants]
+
+    def test_worker_exception_reaches_caller(self):
+        store, running = thrown_in("worker")
+        with split_among(2):
+            with pytest.raises(RuntimeError, match="worker"):
+                gathered(MN_4_2, store, [1, 2, 1, 2])
+            # the pool is still usable
+            plain = PacketStore.synthetic(2, MN_4_2.f, 8, seed=0)
+            assert np.array_equal(gathered(MN_4_2, plain, [1, 2, 1, 2]),
+                                  deliver(MN_4_2, plain, [1, 2, 1, 2])
+                                  .payload.reshape(-1, 8))
+
+    def test_caller_exception_waits_for_workers(self):
+        # the caller's slice fails at once; its slow workers' slices are
+        # all over before the exception reaches the caller
+        store, running = thrown_in("caller", delay=0.05)
+        with split_among(3):
+            with pytest.raises(RuntimeError, match="caller"):
+                gathered(MN_4_2, store, [1, 2, 1, 2])
+            assert running == []
+
+    def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(simulate, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(simulate, "_SLICE_TERM_BYTES", 1)
+        monkeypatch.setattr(simulate, "_pool", None)
+        assert simulate._usable_cpus() == 1
+        threads = set(threading.enumerate())
+        arr = construct_mn(8, 2)
+        store = PacketStore.synthetic(3, arr.f, 64, seed=2)
+        assert run_simulation(arr, store, [1, 2, 3] * 2 + [1, 2]).success
+        assert simulate._pool is None
+        assert set(threading.enumerate()) == threads
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert simulate._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulate._usable_cpus() == 1
+
+    @pytest.mark.parametrize("g, n, size, cpus, want", [
+        # mn(60, 1)'s shape, 1770 slots of degree 2: 1 MiB at 297 bytes
+        (2, 1770, 64, 4, 1), (2, 1770, 296, 4, 1), (2, 1770, 297, 4, 4),
+        (2, 1770, 297, 2, 2), (2, 1770, 297, 1, 1),
+        # 2 MiB in few slots: each slice keeps 64 KiB of packets per term
+        (1024, 4, 512, 4, 1), (1024, 255, 512, 4, 1),
+        (1024, 256, 512, 4, 2), (1024, 512, 512, 4, 4),
+        # never more slices than slots
+        (2, 3, 1 << 20, 4, 3),
+    ])
+    def test_split_rule(self, monkeypatch, g, n, size, cpus, want):
+        # slot j fills column j of a (g, n) grid
+        arr = PdaArray(np.tile(np.arange(1, n + 1, dtype=np.int32), (g, 1)))
+        store = PacketStore.synthetic(1, arr.f, size, seed=0)
+        slices = []
+        monkeypatch.setattr(simulate, "_run",
+                            lambda jobs: slices.append(len(jobs)))
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        gathered(arr, store, [1] * arr.k)
+        assert slices == [want]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+    def test_forked_child_gathers_on_its_own_pool(self):
+        arr = construct_mn(8, 2)
+        store = PacketStore.synthetic(3, arr.f, 64, seed=4)
+        demand = [1, 2, 3] * 2 + [1, 2]
+        whole = gathered(arr, store, demand).tobytes()
+        with split_among(2):
+            assert gathered(arr, store, demand).tobytes() == whole
+            parent_pool = simulate._pool
+            assert parent_pool is not None
+            with warnings.catch_warnings():
+                # Python 3.12 and later warn that forking a process with
+                # threads may deadlock the child
+                warnings.filterwarnings(
+                    "ignore", "This process .* is multi-threaded",
+                    DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    # a child that hangs is ended by the alarm
+                    signal.alarm(30)
+                    fresh = simulate._pool is None
+                    ok = gathered(arr, store, demand).tobytes() == whole
+                    made = simulate._pool not in (None, parent_pool)
+                    code = 0 if fresh and ok and made else 1
+                finally:
+                    os._exit(code)
+            _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestGatherMemo:
