@@ -18,7 +18,9 @@ certify a strict win.  Tabulated values print the closed-form bounds; the
 exact ratios are exposed alongside.  The t = 1 baseline is the general
 q-ary one at t = 1, so compare_special is compare_general at t = 1; the one
 difference is that at a lattice point it prints the exact packet ratio w/q
-instead of the bound 1/(q-z).
+instead of the bound 1/(q-z).  Both raise SizeCapError for a q^t above
+CELL_CAP: every family over Z_q with subsets of size t has at least q^t
+users, so no array for such a scheme could be built.
 
 enumerate_schemes exhaustively solves the family equations K(q, z, m, t) and
 ratio(q, z, t) for a target user count and memory ratio, in exact rational
@@ -40,7 +42,8 @@ from fractions import Fraction
 from math import comb
 
 from .constructions import (VECTOR_FAMILIES, ConstructionParams, Family,
-                            _check_qz, _switches, _w, theorem_params)
+                            ParamDomainError, _check_qz, _switches, _w,
+                            theorem_params)
 from .core import CELL_CAP, _check_cap
 
 MAX_EXACT_F_BITS = 4096
@@ -125,6 +128,25 @@ class ComparisonResult:
     f_exact: Fraction | None
 
 
+def _check_sweep(q: int, t: int, lam: float) -> None:
+    """The checks of compare_general that do not read z, in its order.
+
+    Every family over Z_q with subsets of size t has at least q^t users,
+    so at q^t above CELL_CAP no array exists, and SizeCapError is raised
+    before any power of a large t is computed.
+    """
+    if q < 2:
+        raise ParamDomainError("q must be at least 2")
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    if not 0 < lam < 1:
+        raise ValueError("lambda must lie strictly between 0 and 1")
+    # q >= 2, so q^t is above the cap once t reaches the cap's bit length
+    _check_cap(q ** min(t, CELL_CAP.bit_length()), CELL_CAP,
+               "an array over Z_q with subsets of size t holds at least "
+               "q^t cells")
+
+
 def compare_general(q: int, z: int, t: int, lam: float,
                     exact_case: bool = True) -> ComparisonResult:
     """Family-z scheme versus the mixed general q-ary baseline.
@@ -134,10 +156,7 @@ def compare_general(q: int, z: int, t: int, lam: float,
     packet bound changes.
     """
     _check_qz(q, z)
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie strictly between 0 and 1")
+    _check_sweep(q, t, lam)
     w = _w(q, z)
     r_bound = 1.0 / (lam * w**(2 * t))
     advantage = lam * w**(2 * t) > 1

@@ -29,6 +29,9 @@ EXIT_SEMANTIC = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+# lines of a compare table per written chunk
+COMPARE_BLOCK = 4096
+
 # glibc's mallopt parameters, from malloc.h
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -369,25 +372,38 @@ def _cmd_compare(args) -> int:
     if args.z is not None:
         zs = [args.z]
     else:
-        # sweep the z where the advantage regime is reachable and both
-        # table columns are defined
-        zs = [z for z in range(1, q - 1)
-              if (q - 1) // (q - z) >= 2]
-    rows = []
-    for z in zs:
-        if baseline == "szg":
-            res = analysis.compare_general(q, z, t, lam)
-        else:
-            res = analysis.compare_special(q, z, lam)
-        rows.append((z, res.r_bound, res.f_value_or_bound))
+        # the sweep may hold no z, so q, t and lambda are checked here, as
+        # its first z would check them
+        analysis._check_sweep(q, t, lam)
+        # the z where the advantage regime is reachable and both table
+        # columns are defined: (q - 1) // (q - z) >= 2 and z <= q - 2
+        zs = range(q // 2 + 1, q - 1)
     if args.format == "csv":
-        out = ["z,r_bound,f_ratio"]
-        out += [f"{z},{_fmt15(r)},{_fmt15(f)}" for z, r, f in rows]
+        head = ["z,r_bound,f_ratio"]
+        row = "{},{},{}".format
     else:
-        out = [f"baseline={baseline} q={q} t={t} lambda={lam:g}",
-               f"{'z':>4} {'R_ratio<':>22} {'F_ratio':>22}"]
-        out += [f"{z:>4} {_fmt15(r):>22} {_fmt15(f):>22}" for z, r, f in rows]
-    _write(args.out, "\n".join(out) + "\n")
+        head = [f"baseline={baseline} q={q} t={t} lambda={lam:g}",
+                f"{'z':>4} {'R_ratio<':>22} {'F_ratio':>22}"]
+        row = "{:>4} {:>22} {:>22}".format
+
+    def blocks():
+        # the header rides with the first rows, so a refused z writes
+        # nothing and creates no --out file
+        lines = head
+        for z in zs:
+            if baseline == "szg":
+                res = analysis.compare_general(q, z, t, lam)
+            else:
+                res = analysis.compare_special(q, z, lam)
+            lines.append(row(z, _fmt15(res.r_bound),
+                             _fmt15(res.f_value_or_bound)))
+            if len(lines) == COMPARE_BLOCK:
+                yield "\n".join(lines) + "\n"
+                lines = []
+        if lines:
+            yield "\n".join(lines) + "\n"
+
+    _write(args.out, blocks())
     return EXIT_OK
 
 

@@ -132,7 +132,7 @@ class TestC3WorkCap:
         path = tmp_path / "heavy.pda"
         path.write_text(c3_heavy_text())
         code, out, err, seconds = run_limited("verify", str(path))
-        assert code == 1 and "Traceback" not in err
+        assert (code, err) == (1, "")
         assert len(out.encode()) < 200 << 10
         assert out.splitlines()[-1] == (
             "  C3 20125848 more pairs break C3: 612995 C3a, 19512853 C3b")
@@ -143,8 +143,8 @@ class TestC3WorkCap:
         # the listed 1000
         path = tmp_path / "column.pda"
         path.write_text("1 32768 0 1\n" + "1\n" * 32768)
-        code, out, err, _ = run_limited("verify", str(path), timeout=120)
-        assert code == 1 and "Traceback" not in err
+        code, out, err, _ = run_limited("verify", str(path))
+        assert (code, err) == (1, "")
         lines = out.splitlines()
         assert lines[0] == "invalid: 1001 violation(s)"
         assert lines[1] == "  C3a (1,1) (2,1) symbol 1 repeats in column 1"
@@ -261,11 +261,12 @@ class TestBoundedEchoes:
         ["verify", "x" * 5000],
         ["x" * 5000],
         ["verify", FIXTURE, EXES],
-        ["verify", FIXTURE, "--" + EXES]])
+        ["verify", FIXTURE, "--" + EXES],
+        ["enumerate", "--k", "405", "--ratio", f"1/{SEVENS}"]])
     def test_long_echo_in_a_process_stays_short(self, argv):
         code, _, err, _ = run_limited(*argv)
         assert code == 2 and "Traceback" not in err
-        assert len(err.encode()) < 1024
+        assert len(err.encode()) < 500
 
     @pytest.mark.parametrize("argv, message", [
         (["compare", "--baseline", "szg", "--q", "20", "--t", "3",
@@ -342,25 +343,56 @@ def test_verify_of_fuzzed_fixture_ends_in_an_exit_code(data, edits):
 SIMULATE_OPTIONS = ("--packet-size", "--files", "--random-demands")
 
 
+# --lambda values out of (0, 1), at its edges and inside it
+LAMBDAS = ("0", "1", "-0.5", "1.5", "nan", "inf", "-inf", "1e308", "5e-324",
+           "1e-300", "0.5", "0.999999")
+
+
 @st.composite
 def extreme_argv(draw):
-    """simulate with up to three of its size options, or construct mn, at
-    integers up to 10^12, half of them small; one run in five has one value
-    replaced by 5000 characters of text."""
+    """simulate with up to three of its size options, construct of any
+    family, or compare, at integers up to 10^12, half of them small, and
+    --lambda in and out of (0, 1); one run in five has one value replaced
+    by 5000 characters of text."""
     value = st.one_of(st.integers(-2, 100), st.integers(-2, 10**12)).map(str)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("simulate", "mn", "vector", "compare")))
+    if kind == "simulate":
         options = draw(st.lists(st.tuples(st.sampled_from(SIMULATE_OPTIONS),
                                           value), min_size=1, max_size=3))
         argv = ["simulate", FIXTURE, *(a for o in options for a in o)]
-    else:
+    elif kind == "mn":
         argv = ["construct", "--family", "mn", "--k", draw(value), "--t",
                 draw(st.sampled_from(["1", "2", "3"]))]
+    elif kind == "vector":
+        # small values too, so that some arrays are built
+        value = st.one_of(st.integers(-1, 6).map(str), value)
+        family = draw(st.sampled_from(constructions.VECTOR_FAMILIES))
+        argv = ["construct", "--family", family.value, "--q", draw(value),
+                "--z", draw(value), "--m", draw(value)]
+        if draw(st.booleans()):
+            argv += ["--t", draw(value)]
+    else:
+        baseline = draw(st.sampled_from(["szg", "yctc"]))
+        argv = ["compare", "--baseline", baseline, "--q", draw(value)]
+        for option, values in (("--z", value), ("--t", value),
+                               ("--lambda", st.sampled_from(LAMBDAS))):
+            if draw(st.booleans()):
+                argv += [option, draw(values)]
     if draw(st.integers(0, 4)) == 0:
-        # the values follow the options, from the fourth argument on
-        at = draw(st.sampled_from(range(3 + (argv[0] == "construct"),
+        # the values follow the options: simulate's from the fourth
+        # argument on, the others' from the fifth
+        at = draw(st.sampled_from(range(3 + (kind != "simulate"),
                                         len(argv), 2)))
         argv[at] = draw(st.sampled_from([SEVENS, EXES, "-" + SEVENS]))
     return argv
+
+
+def stderr_bound(argv):
+    """Bytes the stderr of a run of ``argv`` stays under.  A vector family
+    refused over the cell cap writes its cell count in full up to 4300
+    digits, as README's resource limits say, so 4300 more bytes."""
+    vector = argv[0] == "construct" and argv[2] != "mn"
+    return 1024 + 4300 * vector
 
 
 @settings(max_examples=200, deadline=None)
@@ -368,12 +400,14 @@ def extreme_argv(draw):
 def test_extreme_option_values_end_in_an_exit_code(argv):
     # the caps are lowered so that every admitted run is small: at the real
     # caps a run just under one fills a 1 GiB store or a 10^7-cell array,
-    # and the over-cap refusals are pinned in full above
+    # or sweeps 5 * 10^6 z, and the over-cap refusals are pinned in full
+    # above
     err = io.StringIO()
     start = time.perf_counter()
     with mock.patch.object(simulate, "BYTE_CAP", 1 << 20), \
             mock.patch.object(core, "DEMAND_WORK_CAP", 10**5), \
             mock.patch.object(constructions, "CELL_CAP", 10**5), \
+            mock.patch.object(analysis, "CELL_CAP", 10**5), \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         try:
@@ -382,7 +416,7 @@ def test_extreme_option_values_end_in_an_exit_code(argv):
             code = exc.code
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
-    assert len(err.getvalue().encode()) < 1024
+    assert len(err.getvalue().encode()) < stderr_bound(argv)
     assert time.perf_counter() - start < 5
 
 
@@ -390,11 +424,12 @@ def test_extreme_option_values_end_in_an_exit_code(argv):
 LOWERED_CAPS = """
 import sys
 from unittest import mock
-from pdakit import constructions, core, simulate
+from pdakit import analysis, constructions, core, simulate
 from pdakit.cli import main
 with mock.patch.object(simulate, "BYTE_CAP", 1 << 20), \\
         mock.patch.object(core, "DEMAND_WORK_CAP", 10**5), \\
-        mock.patch.object(constructions, "CELL_CAP", 10**5):
+        mock.patch.object(constructions, "CELL_CAP", 10**5), \\
+        mock.patch.object(analysis, "CELL_CAP", 10**5):
     sys.exit(main(sys.argv[1:]))
 """
 
@@ -409,7 +444,7 @@ def test_extreme_option_values_end_in_an_exit_code_in_a_process(argv):
                                         program=("-c", LOWERED_CAPS))
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
-    assert len(err.encode()) < 1024
+    assert len(err.encode()) < stderr_bound(argv)
     assert seconds < 10
 
 
@@ -444,11 +479,11 @@ class TestDemandWorkCap:
                                 "above the cap of 20001000\n")
 
     def test_cap_admits_every_ci_run(self):
+        # the --random-demands runs of ci/steps.sh
         runs = [
-            (parse(Path(FIXTURE).read_text()), 10000),
             (construct_special(3, 2, 2), 200),
-            (construct_mn(24, 4), 2),
             (construct_ext_general(5, 3, 4, 2), 20),
+            (construct_mn(24, 4), 2),
         ]
         for arr, count in runs:
             work = count * (np.count_nonzero(arr.grid) + arr.k

@@ -14,7 +14,7 @@ import pytest
 
 import pdakit
 from helpers import FIXTURES, fixture_text
-from pdakit import _kernels, cli, construct_mn, save, simulate
+from pdakit import _kernels, analysis, cli, construct_mn, save, simulate
 from pdakit.cli import main
 
 
@@ -623,6 +623,91 @@ class TestCompare:
                             "--q", "20", "--t", "1")
         _, preset, _ = run(capsys, "compare", "--table-v")
         assert with_t1 == preset
+
+    @pytest.mark.parametrize("argv, same_as, message", [
+        (["--baseline", "szg", "--q", "-5", "--t", "1"], None,
+         "error: q must be at least 2\n"),
+        (["--baseline", "szg", "--q", "3", "--t", "0"],
+         ["--baseline", "szg", "--q", "20", "--t", "0"],
+         "error: t must be at least 1\n"),
+        (["--baseline", "yctc", "--q", "3", "--lambda", "1"],
+         ["--baseline", "yctc", "--q", "20", "--lambda", "1"],
+         "error: lambda must lie strictly between 0 and 1\n"),
+        (["--baseline", "szg", "--q", "2", "--t", "0", "--lambda", "nan"],
+         ["--baseline", "szg", "--q", "20", "--t", "0", "--lambda", "nan"],
+         "error: t must be at least 1\n"),
+    ], ids=["q", "t", "lambda", "t-before-lambda"])
+    def test_empty_sweep_refused_as_a_full_one(self, capsys, argv, same_as,
+                                               message):
+        # q = 3 and below sweep no z; the refusal is the one the first z
+        # of a full sweep gives
+        assert run(capsys, "compare", *argv) == (2, "", message)
+        if same_as is not None:
+            assert run(capsys, "compare", *same_as) == (2, "", message)
+
+    @pytest.mark.parametrize("argv", [
+        ["--baseline", "szg", "--q", "20", "--t", "2000", "--z", "19"],
+        ["--baseline", "szg", "--q", "30", "--t", "400"],
+        ["--baseline", "szg", "--q", "2", "--t", "999999999999"],
+        ["--baseline", "szg", "--q", "3163", "--t", "2"],
+        ["--baseline", "yctc", "--q", "10000001"],
+        ["--baseline", "yctc", "--q", "10" * 20, "--z", "3"],
+    ], ids=["t-2000", "t-400", "t-1e12", "q-squared", "q", "q-single-z"])
+    def test_q_to_the_t_above_the_cell_cap_exit_3(self, capsys, argv):
+        start = time.perf_counter()
+        assert run(capsys, "compare", *argv) == (
+            3, "", "too large: an array over Z_q with subsets of size t "
+                   "holds at least q^t cells, above the cap of 10000000\n")
+        assert time.perf_counter() - start < 2
+
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        # 5^2 = 25 at the cap sweeps z = 3; 26^1 is one above it
+        monkeypatch.setattr(analysis, "CELL_CAP", 25)
+        code, out, _ = run(capsys, "compare", "--baseline", "szg",
+                           "--q", "5", "--t", "2")
+        assert code == 0 and out.splitlines()[2].split()[0] == "3"
+        code, _, err = run(capsys, "compare", "--baseline", "yctc",
+                           "--q", "26")
+        assert code == 3 and err.endswith("above the cap of 25\n")
+
+    def test_refused_z_creates_no_out_file(self, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        code, _, err = run(capsys, "compare", "--baseline", "szg", "--q", "20",
+                           "--z", "25", "--t", "3", "--out", str(target))
+        assert (code, err) == (2, "error: z must satisfy 1 <= z <= q-1\n")
+        assert not target.exists()
+
+    def test_table_streamed_in_blocks(self, capsys, monkeypatch):
+        # the rows are written a block at a time, as they are made
+        monkeypatch.setattr(cli, "COMPARE_BLOCK", 4)
+        write, chunks = cli._write, []
+
+        def recorded(target, text):
+            write(target, (chunks.append(c) or c for c in text))
+
+        monkeypatch.setattr(cli, "_write", recorded)
+        code, out, _ = run(capsys, "compare", "--table-iv")
+        assert code == 0 and "".join(chunks) == out
+        assert [c.count("\n") for c in chunks] == [4, 4, 2]
+
+    def test_sweep_memory_does_not_grow_with_q(self, tmp_path):
+        target = str(tmp_path / "out.csv")
+
+        def peak(q):
+            tracemalloc.start()
+            try:
+                code = main(["compare", "--baseline", "yctc", "--q", str(q),
+                             "--format", "csv", "--out", target])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 10^4 rows against 3 * 10^4: a table held whole costs hundreds of
+        # bytes a row, a streamed one a few blocks of 4096 rows either way
+        assert peak(8)[0] == 0  # first use: imports and caches
+        (code, few), (code_many, many) = peak(20000), peak(60000)
+        assert code == code_many == 0
+        assert many <= few + (1 << 19)
 
 
 class TestEnumerate:
