@@ -120,12 +120,23 @@ cap_blocks() {
     pda 0 verify "$SCRATCH/cap-mn.pda"
 }
 
+# the full compare sweeps at q = 100000, byte for byte; the formula gate
+# reaches only q < 31
+compare_sweeps() {
+    check 0 60 compare --baseline yctc --q 100000 --format csv
+    test "$(sha256sum < "$SCRATCH/out" | cut -d ' ' -f 1)" = \
+        e0b272fc57e3e7f8ef2ab6fa1a177883a80e4a5223ee98a78b6c4b5bc0ac9921
+    check 0 60 compare --baseline szg --t 1 --q 100000 --format csv
+    test "$(sha256sum < "$SCRATCH/out" | cut -d ' ' -f 1)" = \
+        ea1eaff8d2221767aa968323fe4a98fc71b932ea0d42bf6fa2f2afdfa00d2ad7
+}
+
 bench() {
     python3 -m pytest pdabench -q
 }
 
 for step in tier1 demands bulk_demands one_cpu hostile subset_family at_cap \
-        at_cap_trace cap_blocks bench; do
+        at_cap_trace cap_blocks compare_sweeps bench; do
     echo "== $step"
     start=$(date +%s%N)
     "$step"

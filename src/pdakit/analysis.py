@@ -37,7 +37,7 @@ sub-exponential growth statement F = O(w^t q^{t K^{1/t} / q}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -129,7 +129,7 @@ class ComparisonResult:
 
 
 def _check_sweep(q: int, t: int, lam: float) -> None:
-    """The checks of compare_general that do not read z, in its order.
+    """The checks of _compare that do not read z, in its order.
 
     Every family over Z_q with subsets of size t has at least q^t users,
     so at q^t above CELL_CAP no array exists, and SizeCapError is raised
@@ -147,6 +147,34 @@ def _check_sweep(q: int, t: int, lam: float) -> None:
                "q^t cells")
 
 
+def _compare(baseline: str, q: int, z: int, t: int, lam: float,
+             exact_case: bool) -> ComparisonResult:
+    """The one body of compare_general and compare_special: the "yctc"
+    baseline prints the exact packet ratio at a lattice point, the "szg"
+    one the bound."""
+    _check_qz(q, z)
+    _check_sweep(q, t, lam)
+    w = _w(q, z)
+    r_bound = 1.0 / (lam * w**(2 * t))
+    advantage = lam * w**(2 * t) > 1
+    if exact_case:
+        f_exact = Fraction(w**t, (q - 1)**t + 1)
+        f_value = (float(f_exact) if baseline == "yctc"
+                   else 1.0 / (q - z)**t)
+        rz = ((q - z) / w)**t
+        r_exact = rz / (lam * (q - 1)**t + (1 - lam) / (q - 1)**t)
+    else:
+        if q - z < 2:
+            raise ValueError(
+                "between-lattice case needs q - z >= 2 (z+1 must stay below q)")
+        w2 = _w(q, z + 1)
+        f_value = 1.0 / (q - z)**t + 1.0 / (q - z - 1)**t
+        f_exact = Fraction(w**t + w2**t, (q - 1)**t + 1)
+        r_exact = None
+    return ComparisonResult(baseline, q, z, t, lam, exact_case, w, advantage,
+                            r_bound, f_value, r_exact, f_exact)
+
+
 def compare_general(q: int, z: int, t: int, lam: float,
                     exact_case: bool = True) -> ComparisonResult:
     """Family-z scheme versus the mixed general q-ary baseline.
@@ -155,26 +183,7 @@ def compare_general(q: int, z: int, t: int, lam: float,
     lattice points (the scheme side then mixes adjacent z as well); only the
     packet bound changes.
     """
-    _check_qz(q, z)
-    _check_sweep(q, t, lam)
-    w = _w(q, z)
-    r_bound = 1.0 / (lam * w**(2 * t))
-    advantage = lam * w**(2 * t) > 1
-    if exact_case:
-        f_bound = 1.0 / (q - z)**t
-        f_exact = Fraction(w**t, (q - 1)**t + 1)
-        rz = ((q - z) / w)**t
-        r_exact = rz / (lam * (q - 1)**t + (1 - lam) / (q - 1)**t)
-    else:
-        if q - z < 2:
-            raise ValueError(
-                "between-lattice case needs q - z >= 2 (z+1 must stay below q)")
-        w2 = _w(q, z + 1)
-        f_bound = 1.0 / (q - z)**t + 1.0 / (q - z - 1)**t
-        f_exact = Fraction(w**t + w2**t, (q - 1)**t + 1)
-        r_exact = None
-    return ComparisonResult("szg", q, z, t, lam, exact_case, w, advantage,
-                            r_bound, f_bound, r_exact, f_exact)
+    return _compare("szg", q, z, t, lam, exact_case)
 
 
 def compare_special(q: int, z: int, lam: float,
@@ -184,9 +193,7 @@ def compare_special(q: int, z: int, lam: float,
     This is compare_general at t = 1, except that at a lattice point the
     packet ratio printed is the exact value w/q, not a bound.
     """
-    res = compare_general(q, z, 1, lam, exact_case)
-    f_value = float(res.f_exact) if exact_case else res.f_value_or_bound
-    return replace(res, baseline="yctc", f_value_or_bound=f_value)
+    return _compare("yctc", q, z, 1, lam, exact_case)
 
 
 @dataclass(frozen=True)

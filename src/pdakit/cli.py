@@ -391,10 +391,7 @@ def _cmd_compare(args) -> int:
         # nothing and creates no --out file
         lines = head
         for z in zs:
-            if baseline == "szg":
-                res = analysis.compare_general(q, z, t, lam)
-            else:
-                res = analysis.compare_special(q, z, lam)
+            res = analysis._compare(baseline, q, z, t, lam, exact_case=True)
             lines.append(row(z, _fmt15(res.r_bound),
                              _fmt15(res.f_value_or_bound)))
             if len(lines) == COMPARE_BLOCK:

@@ -27,8 +27,8 @@ constructed array has a single degree).  The n slots of a degree are cut
 into contiguous slices, one per usable CPU (os.sched_getaffinity, else
 os.cpu_count) when the degree gathers at least 1 MiB and each slice keeps
 at least 64 KiB of packets per term, else one slice; the calling thread
-and a small pool of worker threads, kept for the process and dropped in a
-forked child, work the slices at once.  A slice of m slots is worked
+and a pool of worker threads, made by the first split gather and made
+anew in a forked child, work the slices at once.  A slice of m slots is worked
 term-major: their store rows form a C-contiguous (g, m) index whose row a
 holds term a of every slot, and each take reads the next ceil(g / m)
 rows, XORs them and XORs the result into the m slots' running payloads;
@@ -78,11 +78,10 @@ import hashlib
 import math
 import operator
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -103,23 +102,6 @@ BYTE_CAP = 1 << 30
 _SPLIT_BYTES = 1 << 20
 _SLICE_TERM_BYTES = 1 << 16
 
-# the gather's worker threads, made by the first split gather, and the
-# lock under which a gather reads or makes them
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads, and the lock may
-    have been held by one of them: its first split gather makes its own
-    pool."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
@@ -127,6 +109,23 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+@cache
+def _workers() -> ThreadPoolExecutor:
+    """The gather's worker threads, one per usable CPU but one, made on
+    first use and kept.
+
+    Two first calls at once may each make a pool, and the cache keeps one.
+    Either is correct: each caller waits on its own futures, and the
+    threads of a dropped pool end once their work is done.  A forked child
+    has none of its parent's threads, so the cache is cleared in it.
+    """
+    return ThreadPoolExecutor(max(1, _usable_cpus() - 1), "pdakit-gather")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_workers.cache_clear)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,8 +370,9 @@ def _gather(store: PacketStore, d: np.ndarray, table) -> np.ndarray:
     of its slots: one slice per usable CPU when the class gathers at least
     _SPLIT_BYTES (n g packet_size bytes), but no more than n packet_size /
     _SLICE_TERM_BYTES slices; otherwise one slice.  The calling
-    thread works the first slice and the pool's workers the others, at
-    once; numpy's takes and XORs release the GIL, so the slices' reads
+    thread works the first slice and the workers of _workers() the
+    others, at once, so a gather of one-slice classes makes no pool;
+    numpy's takes and XORs release the GIL, so the slices' reads
     from the store overlap.  Each slice writes only its own rows of the
     XORs, so the bytes do not depend on the split, and the call returns
     once every slice has ended, raising the first slice's exception, in
@@ -447,20 +447,10 @@ def _xor_slots(words: np.ndarray, base: np.ndarray, table, in_cells, g: int,
 
 def _run(jobs: list) -> None:
     """Call the jobs at once: the first on this thread, each other on a
-    worker of the pool, made on first use with one worker per usable CPU
-    but one.  Returns once every job has ended, and raises the first
-    exception, in job order, that one raised."""
-    global _pool
-    if len(jobs) == 1:
-        jobs[0]()
-        return
-    with _pool_lock:
-        if _pool is None:
-            # as many workers as this call needs, should the CPUs shrink
-            workers = max(len(jobs), _usable_cpus()) - 1
-            _pool = ThreadPoolExecutor(workers, "pdakit-gather")
-        pool = _pool
-    futures = [pool.submit(job) for job in jobs[1:]]
+    worker of _workers(), so a single job makes no pool.  Returns once
+    every job has ended, and raises the first exception, in job order,
+    that one raised."""
+    futures = [_workers().submit(job) for job in jobs[1:]]
     try:
         jobs[0]()
     finally:

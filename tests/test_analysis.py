@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,34 @@ class TestCompareSpecial:
         res = compare_special(2, 1, 0.5)
         assert res.w == 1 and res.f_exact == Fraction(1, 2)
         assert math.isclose(res.f_value_or_bound, 0.5)
+
+    @pytest.mark.parametrize("exact_case", [True, False])
+    def test_is_general_at_t1(self, exact_case):
+        # every field but the baseline agrees with compare_general at t = 1,
+        # save that a lattice point prints the exact packet ratio
+        def outcome(compare, *args):
+            try:
+                return compare(*args)
+            except ValueError as e:
+                return str(e)
+
+        for q in range(2, 31):
+            for z in range(1, q):
+                for lam in (0.1, 0.5, 0.9):
+                    special = outcome(compare_special, q, z, lam, exact_case)
+                    general = outcome(compare_general, q, z, 1, lam,
+                                      exact_case)
+                    if isinstance(general, str):
+                        assert special == general
+                        continue
+                    assert (special.baseline, general.baseline) == ("yctc",
+                                                                    "szg")
+                    if exact_case:
+                        assert special.f_value_or_bound == float(
+                            special.f_exact)
+                        general = replace(
+                            general, f_value_or_bound=special.f_value_or_bound)
+                    assert special == replace(general, baseline="yctc")
 
     def test_between_lattice_points(self):
         res = compare_special(20, 11, 0.5, exact_case=False)

@@ -512,18 +512,25 @@ class TestXorByDegree:
         assert cells.tolist() == [5, 3, 4, 6, 7, 0, 1, 2]
 
 
+def drop_pool() -> None:
+    """Shut down the gather's pool, if one was made, and forget it."""
+    if simulate._workers.cache_info().currsize:
+        simulate._workers().shutdown()
+    simulate._workers.cache_clear()
+
+
 @contextlib.contextmanager
 def split_among(workers: int):
     """Gathers that cut every degree class of n slots into min(workers, n)
     slices, as on a machine of that many usable CPUs, on a pool of their
     own that is shut down on exit."""
+    drop_pool()
     with mock.patch.multiple(simulate, _SPLIT_BYTES=0, _SLICE_TERM_BYTES=1,
-                             _pool=None, _usable_cpus=lambda: workers):
+                             _usable_cpus=lambda: workers):
         try:
             yield
         finally:
-            if simulate._pool is not None:
-                simulate._pool.shutdown()
+            drop_pool()
 
 
 def gathered(arr: PdaArray, store: PacketStore, demand) -> np.ndarray:
@@ -649,10 +656,10 @@ class TestSplitGather:
                 for t in callers:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in callers)
-                pool = simulate._pool
+                pools = simulate._workers.cache_info().currsize
         finally:
             sys.setswitchinterval(interval)
-        assert pool is not None
+        assert pools == 1
         assert got == [[want] * 25 for want in wants]
 
     def test_worker_exception_reaches_caller(self):
@@ -680,14 +687,29 @@ class TestSplitGather:
                             raising=False)
         monkeypatch.setattr(simulate, "_SPLIT_BYTES", 0)
         monkeypatch.setattr(simulate, "_SLICE_TERM_BYTES", 1)
-        monkeypatch.setattr(simulate, "_pool", None)
+        drop_pool()
         assert simulate._usable_cpus() == 1
         threads = set(threading.enumerate())
         arr = construct_mn(8, 2)
         store = PacketStore.synthetic(3, arr.f, 64, seed=2)
         assert run_simulation(arr, store, [1, 2, 3] * 2 + [1, 2]).success
-        assert simulate._pool is None
+        assert simulate._workers.cache_info().misses == 0
         assert set(threading.enumerate()) == threads
+
+    def test_pool_made_once(self):
+        # a one-slice gather makes no pool; split gathers share one
+        arr = construct_mn(8, 2)
+        store = PacketStore.synthetic(3, arr.f, 64, seed=3)
+        demand = [1, 2, 3] * 2 + [1, 2]
+        with split_among(1):
+            whole = gathered(arr, store, demand).tobytes()
+            assert simulate._workers.cache_info().misses == 0
+        with split_among(3):
+            for _ in range(4):
+                assert gathered(arr, store, demand).tobytes() == whole
+            deliver(arr, store, demand)
+            info = simulate._workers.cache_info()
+            assert info.misses == 1 and info.hits > 0
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -725,8 +747,8 @@ class TestSplitGather:
         whole = gathered(arr, store, demand).tobytes()
         with split_among(2):
             assert gathered(arr, store, demand).tobytes() == whole
-            parent_pool = simulate._pool
-            assert parent_pool is not None
+            assert simulate._workers.cache_info().currsize == 1
+            parent_pool = simulate._workers()
             with warnings.catch_warnings():
                 # Python 3.12 and later warn that forking a process with
                 # threads may deadlock the child
@@ -739,9 +761,10 @@ class TestSplitGather:
                 try:
                     # a child that hangs is ended by the alarm
                     signal.alarm(30)
-                    fresh = simulate._pool is None
+                    fresh = simulate._workers.cache_info().currsize == 0
                     ok = gathered(arr, store, demand).tobytes() == whole
-                    made = simulate._pool not in (None, parent_pool)
+                    made = (simulate._workers.cache_info().currsize == 1
+                            and simulate._workers() is not parent_pool)
                     code = 0 if fresh and ok and made else 1
                 finally:
                     os._exit(code)
