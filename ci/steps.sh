@@ -32,22 +32,27 @@ tier1() {
     python3 -m pytest -q --continue-on-collection-errors --durations=5
 }
 
-# the entry point as a process; its 200-demand run is the simulate smoke
+# the entry point as a process; its 200-demand run is the simulate smoke,
+# byte for byte
 demands() {
     pda 0 construct --family special --q 3 --z 2 --m 2 --out "$SCRATCH/s.pda"
     pda 0 verify "$SCRATCH/s.pda"
     check 0 60 simulate "$SCRATCH/s.pda" --random-demands 200 --seed 5 \
         --packet-size 8
     test "$(grep -cx decode=ok "$SCRATCH/out")" -eq 200
+    test "$(sha256sum < "$SCRATCH/out" | cut -d ' ' -f 1)" = \
+        e675ce4af1d06a3ca07e946651d90d84ffa1b99b7bae28b8a866c1f0225809cf
 }
 
-# twenty demands on the 625x600 bulk-demands array
+# twenty demands on the 625x600 bulk-demands array, byte for byte
 bulk_demands() {
     pda 0 construct --family ext-general --q 5 --z 3 --m 4 --t 2 \
         --out "$SCRATCH/b.pda"
     check 0 120 simulate "$SCRATCH/b.pda" --random-demands 20 \
         --packet-size 256 --seed 9
     test "$(grep -cx decode=ok "$SCRATCH/out")" -eq 20
+    test "$(sha256sum < "$SCRATCH/out" | cut -d ' ' -f 1)" = \
+        59a9e6a92eeede11d53a3cac9a67c8fbce10976226a363bd75d35b043b33c40c
 }
 
 # the default demand's 15 MB gather is split among the usable CPUs; under

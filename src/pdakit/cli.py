@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import ctypes
 import functools
+import itertools
 import re
 import sys
 from fractions import Fraction
@@ -285,9 +286,10 @@ def _cmd_simulate(args) -> int:
     arr, _ = textio.load_with_header(args.path)
     k = arr.k
     if args.random_demands is not None:
-        # refused before the store is made or a demand drawn
+        # refused before the store is made or a demand drawn; the work is
+        # a Python int, as numpy's int64 would wrap
         core._check_cap(args.random_demands
-                        * (np.count_nonzero(arr.grid) + k
+                        * (int(np.count_nonzero(arr.grid)) + k
                            + core.DEMAND_FIXED_WORK),
                         core.DEMAND_WORK_CAP,
                         "the random demands would work through {} cells "
@@ -309,43 +311,31 @@ def _cmd_simulate(args) -> int:
     all_ok = True
 
     def blocks():
-        # one block per demand, written once it is decoded; a lone
-        # demand's trace is streamed in chunks between its lines
+        # one block per demand, written once it is decoded: its demand line
+        # (the first with the seed line), a lone demand's trace in chunks,
+        # then its report
         nonlocal all_ok
-        lines = [f"seed={args.seed} N={n} packet_size={store.packet_size}"]
+        head = f"seed={args.seed} N={n} packet_size={store.packet_size}\n"
         for demand in demands:
             log = simulate.deliver(arr, store, demand)
             report = simulate.decode_and_verify(arr, store, demand, log)
             all_ok &= report.success
-            lines.append(f"demand={','.join(map(str, demand))}")
+            yield f"{head}demand={','.join(map(str, demand))}\n"
+            head = ""
             if count == 1:
-                yield "\n".join(lines) + "\n"
-                lines = []
                 yield from log.trace()
-            lines.append(f"bytes_sent={report.bytes_sent} rate={report.rate}")
             # the user lines read the report's demand and failures, so no
             # file is hashed
-            failures = report.failures
-            if not failures:
-                lines.append("\n".join(
-                    f"user {u} file {i}: ok"
-                    for u, i in zip(range(1, k + 1), report.demanded)))
-            else:
-                for u, i in enumerate(report.demanded, 1):
-                    problems = failures.get(u)
-                    status = ("ok" if problems is None
-                              else "FAIL " + "; ".join(problems))
-                    lines.append(f"user {u} file {i}: {status}")
-            lines.append(f"decode={'ok' if report.success else 'FAIL'}")
-            yield "\n".join(lines) + "\n"
-            lines = []
+            failed = report.failures
+            users = "".join(
+                f"user {u} file {i}: "
+                f"{'FAIL ' + '; '.join(failed[u]) if u in failed else 'ok'}\n"
+                for u, i in enumerate(report.demanded, 1))
+            yield (f"bytes_sent={report.bytes_sent} rate={report.rate}\n"
+                   f"{users}decode={'ok' if report.success else 'FAIL'}\n")
 
     _write(args.out, blocks())
     return EXIT_OK if all_ok else EXIT_SEMANTIC
-
-
-def _fmt15(x: float) -> str:
-    return f"{x:.15g}"
 
 
 def _cmd_compare(args) -> int:
@@ -379,28 +369,24 @@ def _cmd_compare(args) -> int:
         # columns are defined: (q - 1) // (q - z) >= 2 and z <= q - 2
         zs = range(q // 2 + 1, q - 1)
     if args.format == "csv":
-        head = ["z,r_bound,f_ratio"]
-        row = "{},{},{}".format
+        head = ["z,r_bound,f_ratio\n"]
+        row = "{},{:.15g},{:.15g}\n".format
     else:
-        head = [f"baseline={baseline} q={q} t={t} lambda={lam:g}",
-                f"{'z':>4} {'R_ratio<':>22} {'F_ratio':>22}"]
-        row = "{:>4} {:>22} {:>22}".format
+        head = [f"baseline={baseline} q={q} t={t} lambda={lam:g}\n",
+                f"{'z':>4} {'R_ratio<':>22} {'F_ratio':>22}\n"]
+        row = "{:>4} {:>22.15g} {:>22.15g}\n".format
 
-    def blocks():
-        # the header rides with the first rows, so a refused z writes
-        # nothing and creates no --out file
-        lines = head
+    def lines():
+        yield from head
         for z in zs:
             res = analysis._compare(baseline, q, z, t, lam, exact_case=True)
-            lines.append(row(z, _fmt15(res.r_bound),
-                             _fmt15(res.f_value_or_bound)))
-            if len(lines) == COMPARE_BLOCK:
-                yield "\n".join(lines) + "\n"
-                lines = []
-        if lines:
-            yield "\n".join(lines) + "\n"
+            yield row(z, res.r_bound, res.f_value_or_bound)
 
-    _write(args.out, blocks())
+    # COMPARE_BLOCK lines a chunk; the header rides with the first rows, so
+    # a refused z writes nothing and creates no --out file
+    table = lines()
+    _write(args.out, iter(
+        lambda: "".join(itertools.islice(table, COMPARE_BLOCK)), ""))
     return EXIT_OK
 
 

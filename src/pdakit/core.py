@@ -40,6 +40,7 @@ the two reports can list.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -68,9 +69,10 @@ DEMAND_FIXED_WORK = 1000
 DEMAND_WORK_CAP = 2 * CELL_CAP + DEMAND_FIXED_WORK
 
 # Python refuses by default to write an int of more than 4300 digits as
-# text, so counts from here up are written as a bound.  Exact closed forms
-# that large can take seconds, so construct refuses an array once a lower
-# bound on its cells reaches this; it is over the cap either way.
+# text, so counts from here up are written as a bound (as are counts past a
+# lower limit the process has set).  Exact closed forms that large can take
+# seconds, so construct refuses an array once a lower bound on its cells
+# reaches this; it is over the cap either way.
 _UNPRINTABLE = 10**4300
 
 
@@ -84,8 +86,10 @@ class SizeCapError(RuntimeError):
 
 def _count_text(n: int) -> str:
     """n in decimal, or a power of ten below it when n is too long to
-    print."""
-    if n < _UNPRINTABLE:
+    print: from 10^4300 up, or past the process's int-to-str limit."""
+    # 0 is no limit; Python before 3.10.7 has neither limit nor call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if n < _UNPRINTABLE and not (limit and n >= 10**limit):
         return str(n)
     # n >= 2^(bits - 1) > 10^d, as 0.30102 < log10(2)
     return f"more than 10^{(n.bit_length() - 1) * 30102 // 100000}"

@@ -171,6 +171,66 @@ class TestUserCountCap:
                                 "least K cells, above the cap of 10000000\n")
 
 
+NINES = 10**600 - 1
+_GENERAL = constructions.theorem_params(
+    "general", constructions.ConstructionParams(17, 1, 780, 1))
+_MN = constructions.mn_params(3000, 1500)
+# refusals of 964-, 905- and 1200-digit counts, and the d of the bound
+# "more than 10^d" each is written as under a 640-digit int-to-str limit:
+# (argv, count, d, claim), where "{}" in argv is a file whose header
+# declares K = F = NINES
+LONG_COUNTS = [
+    (["construct", "--family", "general", "--q", "17", "--z", "1",
+      "--m", "780"], _GENERAL.k * _GENERAL.f, 963,
+     "array would hold {} cells"),
+    (["construct", "--family", "mn", "--k", "3000", "--t", "1500"],
+     _MN.k * _MN.f, 904, "array would hold {} cells"),
+    (["verify", "{}"], NINES * NINES, 1199,
+     f"header declares {{}} cells (F={NINES}, K={NINES})"),
+]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str limit")
+class TestLoweredIntStrLimit:
+    # a count with more digits than the process's int-to-str limit allows
+    # is written as a bound, as a count from 10^4300 up is
+    @staticmethod
+    def refusal(capsys, tmp_path, argv):
+        path = tmp_path / "nines.pda"
+        path.write_text(f"{NINES} {NINES} 0 1\n")
+        code = main([a.format(path) for a in argv])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    @pytest.mark.parametrize("argv, count, d, claim", LONG_COUNTS,
+                             ids=["general", "mn", "header"])
+    def test_bound_under_a_640_digit_limit(self, capsys, tmp_path, argv,
+                                           count, d, claim):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, err = self.refusal(capsys, tmp_path, argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (
+            3, f"too large: {claim.format(f'more than 10^{d}')}, "
+               "above the cap of 10000000\n")
+        # under the default limit the count is written in full
+        assert len(str(count)) == d + 1
+        assert self.refusal(capsys, tmp_path, argv) == (
+            3, f"too large: {claim.format(count)}, "
+               "above the cap of 10000000\n")
+
+    def test_bound_in_a_process(self, monkeypatch):
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+        code, out, err, _ = run_limited(*LONG_COUNTS[1][0])
+        assert (code, out, err) == (
+            3, "", "too large: array would hold more than 10^904 cells, "
+                   "above the cap of 10000000\n")
+
+
 def usage_error(capsys, *argv):
     try:
         code = main(list(argv))
@@ -476,6 +536,19 @@ class TestDemandWorkCap:
         assert (code, captured.out) == (3, "")
         assert captured.err == ("too large: the random demands would work "
                                 "through 102626262626160 cells and users, "
+                                "above the cap of 20001000\n")
+
+    # the work counts from 2^63 / 1016 up would wrap in int64, and from
+    # 2^64 not fit; with no store to make, a wrapped count fails at once
+    # rather than running its demands
+    @pytest.mark.parametrize("count", [2**63 - 1, 2**64])
+    def test_count_past_int64_exits_3(self, monkeypatch, capsys, count):
+        monkeypatch.setattr(PacketStore, "synthetic", None)
+        code = main(["simulate", FIXTURE, "--random-demands", str(count)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == ("too large: the random demands would work "
+                                f"through {count * 1016} cells and users, "
                                 "above the cap of 20001000\n")
 
     def test_cap_admits_every_ci_run(self):

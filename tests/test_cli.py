@@ -690,6 +690,16 @@ class TestCompare:
         assert code == 0 and "".join(chunks) == out
         assert [c.count("\n") for c in chunks] == [4, 4, 2]
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_empty_sweep_writes_its_header(self, capsys, q):
+        # no z lies in q/2 < z < q - 1: the table is its header alone
+        argv = ["compare", "--baseline", "szg", "--q", str(q), "--t", "1"]
+        assert run(capsys, *argv) == (0, (
+            f"baseline=szg q={q} t=1 lambda=0.1\n"
+            f"{'z':>4} {'R_ratio<':>22} {'F_ratio':>22}\n"), "")
+        assert run(capsys, *argv, "--format", "csv") == (
+            0, "z,r_bound,f_ratio\n", "")
+
     def test_sweep_memory_does_not_grow_with_q(self, tmp_path):
         target = str(tmp_path / "out.csv")
 
