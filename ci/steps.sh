@@ -140,6 +140,10 @@ bench() {
     python3 -m pytest pdabench -q
 }
 
+# the checkout's git status, empty outside a git checkout
+tree_status() { git status --porcelain 2> /dev/null || true; }
+
+before=$(tree_status)
 for step in tier1 demands bulk_demands one_cpu hostile subset_family at_cap \
         at_cap_trace cap_blocks compare_sweeps bench; do
     echo "== $step"
@@ -148,3 +152,10 @@ for step in tier1 demands bulk_demands one_cpu hostile subset_family at_cap \
     elapsed=$((($(date +%s%N) - start) / 100000000))
     echo "== $step passed in $((elapsed / 10)).$((elapsed % 10)) s"
 done
+# no step may leave the checkout changed
+after=$(tree_status)
+if [ "$after" != "$before" ]; then
+    echo "ci/steps.sh: the steps changed the checkout:" >&2
+    diff <(echo "$before") <(echo "$after") >&2 || true
+    false
+fi

@@ -16,11 +16,12 @@ import itertools
 import re
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 import numpy as np
 
 from . import analysis, constructions, core, simulate, textio
-from .constructions import ConstructionParams, Family, ParamDomainError
+from .constructions import ConstructionParams, Family
 from .core import (PdaParams, SizeCapError, canonicalize, params_of,
                    verify_pda)
 from .textio import PdaFormatError, _quoted, _too_long
@@ -173,10 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "cached fraction t for the mn family")
     c.add_argument("--k", type=_int, help="user count (mn family only)")
     _common(c)
+    c.set_defaults(run=_cmd_construct)
 
     v = subs.add_parser("verify", help="check a file against C1-C3")
     v.add_argument("path")
     _common(v)
+    v.set_defaults(run=_cmd_verify)
 
     s = subs.add_parser("simulate",
                         help="run placement, delivery and decoding")
@@ -192,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=_int, default=0,
                    help="seed for packets and random demands (default 0)")
     _common(s)
+    s.set_defaults(run=_cmd_simulate)
 
     p = subs.add_parser("compare",
                         help="rate/packet ratios against a mixed baseline")
@@ -206,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table-v", action="store_true",
                    help="preset: yctc baseline, q=20, lambda=0.5")
     _common(p, table=True)
+    p.set_defaults(run=_cmd_compare)
 
     e = subs.add_parser("enumerate",
                         help="families matching a user count and ratio")
@@ -216,30 +221,28 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--table-iii", action="store_true",
                    help="preset: K=405, ratio 2/3")
     _common(e, table=True)
+    e.set_defaults(run=_cmd_enumerate)
     return top
 
 
-_PARSER = build_parser()
+def _refuse(text: str) -> NoReturn:
+    """Refuse the command line as argparse does: text, then exit 2."""
+    _PARSER.exit(EXIT_USAGE, text + "\n")
 
 
 def _cmd_construct(args) -> int:
     family = Family(args.family)
     if family is Family.MN:
         if args.k is None or args.t is None:
-            print("construct: mn needs --k and --t", file=sys.stderr)
-            return EXIT_USAGE
+            _refuse("construct: mn needs --k and --t")
         if (args.q, args.z, args.m) != (None, None, None):
-            print("construct: mn takes no --q, --z or --m", file=sys.stderr)
-            return EXIT_USAGE
+            _refuse("construct: mn takes no --q, --z or --m")
         arr = constructions.construct_mn(args.k, args.t)
     else:
         if args.q is None or args.z is None or args.m is None:
-            print("construct: vector families need --q, --z and --m",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            _refuse("construct: vector families need --q, --z and --m")
         if args.k is not None:
-            print("construct: vector families take no --k", file=sys.stderr)
-            return EXIT_USAGE
+            _refuse("construct: vector families take no --k")
         p = ConstructionParams(args.q, args.z, args.m,
                                1 if args.t is None else args.t)
         arr = constructions.construct(family, p)
@@ -276,13 +279,13 @@ def _parse_demand(text: str) -> list[int]:
 
 def _cmd_simulate(args) -> int:
     if args.demand is not None and args.random_demands is not None:
-        print("simulate: --demand and --random-demands are exclusive",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.random_demands is not None and args.random_demands < 1:
-        print("simulate: --random-demands must be at least 1",
-              file=sys.stderr)
-        return EXIT_USAGE
+        _refuse("simulate: --demand and --random-demands are exclusive")
+    for option, value, least in (
+            ("--random-demands", args.random_demands, 1),
+            ("--files", args.files, 1), ("--packet-size", args.packet_size, 1),
+            ("--seed", args.seed, 0)):
+        if value is not None and value < least:
+            _refuse(f"simulate: {option} must be at least {least}")
     arr, _ = textio.load_with_header(args.path)
     k = arr.k
     if args.random_demands is not None:
@@ -346,18 +349,14 @@ def _cmd_compare(args) -> int:
     else:
         baseline, q, t, lam = args.baseline, args.q, args.t, args.lam
         if baseline is None or q is None:
-            print("compare: need --baseline and --q (or a preset)",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            _refuse("compare: need --baseline and --q (or a preset)")
         if lam is None:
             lam = 0.1 if baseline == "szg" else 0.5
         if baseline == "szg" and t is None:
-            print("compare: szg baseline needs --t", file=sys.stderr)
-            return EXIT_USAGE
+            _refuse("compare: szg baseline needs --t")
         if baseline == "yctc":
             if t not in (None, 1):
-                print("compare: yctc baseline fixes t = 1", file=sys.stderr)
-                return EXIT_USAGE
+                _refuse("compare: yctc baseline fixes t = 1")
             t = 1
     if args.z is not None:
         zs = [args.z]
@@ -395,9 +394,7 @@ def _cmd_enumerate(args) -> int:
         k, ratio = 405, Fraction(2, 3)
     else:
         if args.k is None or args.ratio is None:
-            print("enumerate: need --k and --ratio (or --table-iii)",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            _refuse("enumerate: need --k and --ratio (or --table-iii)")
         k, ratio = args.k, args.ratio
     rows = analysis.enumerate_schemes(k, ratio,
                                       include_dominated=args.include_dominated)
@@ -416,25 +413,24 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
+    """Every exit code, --help's and each refusal's too, is returned."""
     _pin_allocator()
-    args = _PARSER.parse_args(argv)
-    handler = {
-        "construct": _cmd_construct,
-        "verify": _cmd_verify,
-        "simulate": _cmd_simulate,
-        "compare": _cmd_compare,
-        "enumerate": _cmd_enumerate,
-    }[args.command]
     try:
-        return handler(args)
+        args = _PARSER.parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:
+        return exc.code
     except PdaFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SizeCapError as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ParamDomainError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         text = str(exc)
         if isinstance(exc, OSError) and exc.filename is not None:
             # str(exc) would quote the whole path

@@ -202,9 +202,10 @@ class TransmissionLog:
     Slot i sends ``symbols[i]``; its terms are the 0-based (user, row) pairs
     (``cols[a]``, ``rows[a]``) for ``starts[i] <= a < starts[i + 1]``, and
     its payload is ``payload[ends[i]:ends[i + 1]]``.  The constructor takes
-    the six one-dimensional columns in that order, checks that their bounds
-    fit (ValueError otherwise) and makes them read-only; a delivered log
-    shares its terms with the array's cell table.  A log is immutable:
+    the six one-dimensional columns in that order, checks that the payload
+    is uint8, the other columns integers and their bounds fit (ValueError
+    otherwise) and makes them read-only; a delivered log shares its terms
+    with the array's cell table.  A log is immutable:
     assigning an attribute raises AttributeError.  ``_origin`` is the (cell
     table, store, demand bytes) that deliver made the log for, or None.
     """
@@ -216,6 +217,10 @@ class TransmissionLog:
         columns = (symbols, starts, cols, rows, payload, ends)
         if any(a.ndim != 1 for a in columns):
             raise ValueError("log columns must be one-dimensional")
+        if payload.dtype != np.uint8 or any(
+                a.dtype.kind not in "iu" for a in columns if a is not payload):
+            raise ValueError("log payload must be uint8 and its other columns "
+                             "integers")
         if not len(starts) == len(ends) == len(symbols) + 1:
             raise ValueError("log bounds must hold one entry per slot and one "
                              "more")
@@ -607,6 +612,9 @@ def decode_and_verify(arr: PdaArray, store: PacketStore, demand,
 
 
 def run_simulation(arr: PdaArray, store: PacketStore, demand) -> DecodeReport:
-    """deliver + decode_and_verify in one call."""
+    """deliver + decode_and_verify in one call.  The demand is read once:
+    decoding reads the int64 demand deliver checked and recorded in its
+    log, so an iterator demand decodes too."""
     log = deliver(arr, store, demand)
-    return decode_and_verify(arr, store, demand, log)
+    return decode_and_verify(
+        arr, store, np.frombuffer(log._origin[2], dtype=np.int64), log)

@@ -232,10 +232,7 @@ class TestLoweredIntStrLimit:
 
 
 def usage_error(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse rejects an option's type
-        code = exc.code
+    code = main(list(argv))
     captured = capsys.readouterr()
     assert captured.out == ""
     return code, captured.err.splitlines()[-1]
@@ -470,10 +467,7 @@ def test_extreme_option_values_end_in_an_exit_code(argv):
             mock.patch.object(analysis, "CELL_CAP", 10**5), \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects an option's type
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().encode()) < stderr_bound(argv)

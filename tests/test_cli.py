@@ -187,21 +187,14 @@ class TestVerify:
         # --format and --seed belong to the subcommands that read them, and
         # the cell cap is fixed, not an option
         path = str(FIXTURES / "mn_k4_t2.pda")
-        for extra in (["--format", "csv"], ["--seed", "9"]):
-            with pytest.raises(SystemExit) as exit_info:
-                main(["verify", path, *extra])
-            assert exit_info.value.code == 2
-        with pytest.raises(SystemExit) as exit_info:
-            main(["construct", "--family", "mn", "--k", "4", "--t", "2",
-                  "--seed", "1"])
-        assert exit_info.value.code == 2
-        with pytest.raises(SystemExit) as exit_info:
-            main(["construct", "--family", "special", "--q", "3", "--z", "2",
-                  "--m", "2", "--max-cells", "10"])
-        assert exit_info.value.code == 2
-        with pytest.raises(SystemExit) as exit_info:
-            main(["simulate", path, "--format", "csv"])
-        assert exit_info.value.code == 2
+        for argv in (["verify", path, "--format", "csv"],
+                     ["verify", path, "--seed", "9"],
+                     ["construct", "--family", "mn", "--k", "4", "--t", "2",
+                      "--seed", "1"],
+                     ["construct", "--family", "special", "--q", "3", "--z",
+                      "2", "--m", "2", "--max-cells", "10"],
+                     ["simulate", path, "--format", "csv"]):
+            assert main(argv) == 2
         # construct refuses the options its family does not read
         capsys.readouterr()
         for argv, message in (
@@ -245,13 +238,37 @@ class TestUsageErrors:
             "ratio-zero-denominator", "ratio-not-integer",
             "demand-not-integer"])
     def test_exit_2_with_own_message(self, capsys, argv, message):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the --ratio type
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.endswith(message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--baseline", "szg"],
+         "compare: need --baseline and --q (or a preset)\n"),
+        (["compare", "--baseline", "yctc", "--q", "5", "--t", "3"],
+         "compare: yctc baseline fixes t = 1\n"),
+        (["simulate", str(FIXTURES / "mn_k4_t2.pda"), "--demand", "1,2,3,4",
+          "--random-demands", "2"],
+         "simulate: --demand and --random-demands are exclusive\n"),
+        (["simulate", str(FIXTURES / "mn_k4_t2.pda"), "--random-demands", "0"],
+         "simulate: --random-demands must be at least 1\n"),
+    ], ids=["compare-no-q", "yctc-t", "demand-exclusive",
+            "random-demands-zero"])
+    def test_refusal_exact(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", message)
+
+    def test_help_returns_0(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: pda ")
+
+    def test_unknown_command_returns_2(self, capsys):
+        code, out, err = run(capsys, "nosuch")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument command: invalid choice: "
+                            "'nosuch' (choose from 'construct', 'verify', "
+                            "'simulate', 'compare', 'enumerate')\n")
 
 
 class TestSimulate:
@@ -292,6 +309,24 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "--random-demands must be at least 1" in err
+
+    @pytest.mark.parametrize("path", [FIXTURES / "mn_k4_t2.pda",
+                                      FIXTURES / "absent.pda"],
+                             ids=["fixture", "absent"])
+    @pytest.mark.parametrize("argv, message", [
+        (["--random-demands", "0", "--files", "0"],
+         "simulate: --random-demands must be at least 1\n"),
+        (["--files", "0", "--packet-size", "0", "--seed", "-1"],
+         "simulate: --files must be at least 1\n"),
+        (["--packet-size", "-5", "--seed", "-1"],
+         "simulate: --packet-size must be at least 1\n"),
+        (["--seed", "-1"], "simulate: --seed must be at least 0\n"),
+    ], ids=["random-demands", "files", "packet-size", "seed"])
+    def test_option_minimum_exit_2(self, capsys, monkeypatch, path, argv,
+                                   message):
+        # refused before the file is read or the packet store allocated
+        monkeypatch.setattr(simulate.PacketStore, "synthetic", _no_store)
+        assert run(capsys, "simulate", str(path), *argv) == (2, "", message)
 
     def test_demand_and_random_demands_exclusive_exit_2(self, capsys,
                                                         monkeypatch):
@@ -747,9 +782,7 @@ class TestEnumerate:
         assert len(full.splitlines()) > len(small.splitlines())
 
     def test_ratio_must_be_fraction(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["enumerate", "--k", "4", "--ratio", "0.5"])
-        assert exit_info.value.code == 2
+        assert main(["enumerate", "--k", "4", "--ratio", "0.5"]) == 2
 
     def test_empty_result_ok(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--k", "3", "--ratio", "1/2")

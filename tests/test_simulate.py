@@ -223,6 +223,20 @@ class TestDecode:
         store = PacketStore.synthetic(9, 6)
         assert run_simulation(MN_4_2, store, [9, 9, 2, 2]).success
 
+    @pytest.mark.parametrize("demand", [lambda: iter([1, 2, 3, 4]),
+                                        lambda: map(int, "1234")],
+                             ids=["iter", "map"])
+    def test_iterator_demand_read_once(self, demand):
+        store = PacketStore.synthetic(6, 6)
+        report = run_simulation(MN_4_2, store, demand())
+        assert report.success and report.demanded == (1, 2, 3, 4)
+        assert report == run_simulation(MN_4_2, store, [1, 2, 3, 4])
+
+    def test_non_iterable_demand_refused(self):
+        with pytest.raises(ValueError,
+                           match="^demand entries must be integers$"):
+            run_simulation(MN_4_2, PacketStore.synthetic(6, 6), 1234)
+
     def test_measured_rate_matches_counted(self):
         arr = construct_special(3, 2, 2)  # (9,18,12,9): rate 1/2
         store = PacketStore.synthetic(9, arr.f, seed=0)
@@ -382,6 +396,13 @@ class TestColumns:
         ("cols", lambda a: a[:-1], "run from 0"),
         ("rows", lambda a: a[:-1], "run from 0"),
         ("payload", lambda a: a[:-1], "run from 0"),
+        ("payload", lambda a: a.astype(np.int64), "payload must be uint8"),
+        ("payload", lambda a: a.view(np.int8), "payload must be uint8"),
+        ("starts", lambda a: a.astype(float), "other columns integers"),
+        ("symbols", lambda a: a.astype(bool), "other columns integers"),
+        ("cols", lambda a: a.astype(float), "other columns integers"),
+        ("rows", lambda a: a.astype(object), "other columns integers"),
+        ("ends", lambda a: a.astype(float), "other columns integers"),
     ])
     def test_inconsistent_columns_refused(self, name, change, why):
         log = deliver(MN_4_2, PacketStore.synthetic(6, 6, 4), [1, 2, 3, 4])
