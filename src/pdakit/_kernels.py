@@ -8,18 +8,24 @@ cell (row of cell p, column of cell q).  The grid may be any array whose
 non-zero cells are the non-stars; a one-byte mask ``grid != STAR`` makes
 each gathered entry one byte.
 
-The scan takes the groups of one size g together, n = min(groups,
-CHUNK_CELLS // g) of them at a time, and builds their row and column blocks
-once, as (g, n) arrays: the groups are the last axis, so numpy's inner
-loops run over n groups, not over the g entries of one block.  It gathers
-their blocks in tiles of at most CHUNK_CELLS entries, laid out as (h block
-rows, w block columns, n groups), with as many block rows as fit.  A tile
-whose only non-stars are its diagonal cells holds no fault and costs one
-count, so a valid array costs one gather of each block.
+The scan takes the groups of one size g together and works them under two
+budgets of block entries.  Its clean check, the whole scan of a valid
+array, takes n = min(groups, CLEAN_CELLS // g) groups at a time and builds
+their row and column blocks once, as (g, n) arrays: the groups are the last
+axis, so numpy's inner loops run over n groups, not over the g entries of
+one block.  It gathers their blocks in tiles of at most CLEAN_CELLS
+entries, laid out as (h block rows, w block columns, n groups), with as
+many block rows as fit.  A tile whose only non-stars are its diagonal
+cells holds no fault and costs one count, so a valid array costs one
+gather of each block, and its chunk arrays and tile index, each of at most
+CLEAN_CELLS int64 entries (256 KiB), fit together in a 2 MiB L2 cache.
 
-When some tile of the n groups fails that count, the scan works them again
-so that each pair p < q is seen once, in the band of p: a tile of block
-rows p and block columns q >= p gathers both cross cells, (row p, column q)
+The pair work takes the groups min(groups, CHUNK_CELLS // g) at a time, in
+tiles of at most CHUNK_CELLS entries, each laid out as above.  When some
+clean tile of such a chunk fails its count, the scan builds the chunk's
+blocks and, on first use, its tile index, and works the chunk again so
+that each pair p < q is seen once, in the band of p: a tile of block rows p
+and block columns q >= p gathers both cross cells, (row p, column q)
 and (row q, column p).  Each such tile adds its exact C3a and C3b counts and
 the decoder's notes per user, and offers its bad pairs to three bounded
 sets: the ``listed`` smallest row-major keys of each condition, and the
@@ -33,7 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the most block entries one tile gathers
+# the most block entries one tile of the clean check gathers
+CLEAN_CELLS = 1 << 15
+# the most block entries one tile of the pair work gathers; its tiles cost
+# Python per tile, so they are the larger
 CHUNK_CELLS = 1 << 18
 
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -102,12 +111,31 @@ class _Smallest:
         self.keys = keys
 
 
-def _clean(flat, at, col, h, w, index) -> bool:
+def _tile(g, groups, budget):
+    """(n groups, h block rows, w block columns) of a tile of at most
+    ``budget`` entries over ``groups`` groups of g cells."""
+    w = min(g, budget)
+    n = max(1, min(groups, budget // g))
+    return n, max(1, min(g, budget // (w * n))), w
+
+
+def _blocks(rows, cols, width, span, base):
+    """The (g, n) row offsets and columns of the groups that start at
+    ``base``, g = ``span.size`` cells each."""
+    cells = span[:, None] + base
+    at = rows[cells]
+    at *= width
+    return at, cols[cells]
+
+
+def _clean(flat, at, col, index) -> bool:
     """True when no off-diagonal entry of the groups' blocks is non-zero.
 
     ``at`` and ``col`` are the (g, n) row offsets and columns of n groups
-    of g cells; ``index`` is room for one tile's offsets."""
+    of g cells; ``index`` is room for one tile's offsets, which sets the
+    tile."""
     g, n = at.shape
+    _, h, w = _tile(g, n, index.size)
     for a in range(0, g, h):
         ra = at[a:a + h, None, :]
         for b in range(0, g, w):
@@ -145,21 +173,21 @@ def c3_pair_scan(grid, rows, cols, starts, listed):
     # the group sizes present, from 2 up
     for g in (np.flatnonzero(np.bincount(counts)[2:]) + 2).tolist():
         groups = starts[:-1][counts == g]
-        # tile: h block rows x w block columns x n groups
-        w = min(g, CHUNK_CELLS)
-        n = max(1, min(groups.size, CHUNK_CELLS // g))
-        h = max(1, min(g, CHUNK_CELLS // (w * n)))
-        index = np.empty(h * w * n, dtype=np.int64)
         span = np.arange(g)
-        for i in range(0, groups.size, n):
-            base = groups[i:i + n]
-            cells = span[:, None] + base
-            at = rows[cells]
-            at *= width
-            col = cols[cells]
-            del cells
-            if _clean(flat, at, col, h, w, index):
+        # tiles: h block rows x w block columns x n groups
+        n, h, w = _tile(g, groups.size, CLEAN_CELLS)
+        clean_index = np.empty(h * w * n, dtype=np.int64)
+        chunk, h, w = _tile(g, groups.size, CHUNK_CELLS)
+        index = None
+        for i in range(0, groups.size, chunk):
+            base = groups[i:i + chunk]
+            if all(_clean(flat, *_blocks(rows, cols, width, span,
+                                         base[j:j + n]), clean_index)
+                   for j in range(0, base.size, n)):
                 continue
+            at, col = _blocks(rows, cols, width, span, base)
+            if index is None:
+                index = np.empty(h * w * chunk, dtype=np.int64)
             m = base.size
             # the row-major place and table index of each cell, as keys
             place = (at + col).astype(np.uint64)

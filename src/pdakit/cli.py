@@ -85,7 +85,13 @@ def _write(target: str, text) -> None:
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, whose refusals of a choice (a subcommand name or a
     choice option) and of unrecognized arguments quote the text as a parse
-    error does."""
+    error does, and which reads any argument that starts with "-" and a
+    digit or ".digit", such as "-1/2", "-1,2" or "-1e-3", as a value: no
+    option's name starts that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?[0-9]")
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)

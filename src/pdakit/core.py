@@ -327,9 +327,11 @@ class _CellTable:
         scan gathers the g x g cross cells of each symbol of g cells; their
         sum is held to C3_WORK_CAP.  It gathers them from the transient
         one-byte mask ``grid != STAR`` (F * K bytes), not from the int32
-        grid, in tiles of at most _kernels.CHUNK_CELLS entries, and keeps no
-        bad pair beyond the listed ones, so its memory is one tile plus the
-        lists however many pairs are bad.
+        grid.  Its clean check, all a valid array gets, runs in tiles of at
+        most _kernels.CLEAN_CELLS entries; the pair work of a chunk that
+        fails it runs in tiles of at most _kernels.CHUNK_CELLS entries and
+        keeps no bad pair beyond the listed ones, so its memory is one tile
+        plus the lists however many pairs are bad.
         """
         g = np.diff(self.starts).astype(np.uint64)
         # exact: the sum is below (cells)^2 < 2^64

@@ -258,6 +258,21 @@ class TestUsageErrors:
     def test_refusal_exact(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", message)
 
+    @pytest.mark.parametrize("argv, option, value, message", [
+        (["enumerate", "--k", "4"], "--ratio", "-1/2",
+         "error: memory ratio must lie strictly between 0 and 1\n"),
+        (["simulate", str(FIXTURES / "mn_k4_t2.pda")], "--demand", "-1,2,3,4",
+         "error: demand entries must lie in [1, 4]\n"),
+        (["compare", "--baseline", "szg", "--q", "5", "--t", "1"], "--lambda",
+         "-1e-3", "error: lambda must lie strictly between 0 and 1\n"),
+    ], ids=["ratio", "demand", "lambda"])
+    def test_negative_value_as_own_argument(self, capsys, argv, option,
+                                            value, message):
+        # "--option -1..." is read as "--option=-1...", byte for byte
+        joined = run(capsys, *argv, f"{option}={value}")
+        assert joined == (2, "", message)
+        assert run(capsys, *argv, option, value) == joined
+
     def test_help_returns_0(self, capsys):
         code, out, err = run(capsys, "--help")
         assert (code, err) == (0, "")

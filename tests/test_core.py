@@ -126,6 +126,24 @@ class TestPairScan:
         # listing all 500,500 pairs of the group would take over 20 MB
         assert peak < 1 << 20
 
+    def test_valid_scan_memory_is_the_clean_budget(self):
+        # a valid array gets only the clean check: its chunk's cell index,
+        # row offsets and columns and the tile's offsets (four int64
+        # arrays) and the gathered tile (one byte an entry), each of at
+        # most CLEAN_CELLS entries, beside the sizes and starts (int64) and
+        # one flag per group of a size class, and 64 KiB for the rest
+        grid = construct_mn(24, 4).grid
+        t = _CellTable(grid)
+        mask = grid != 0
+        groups = t.starts.size - 1
+        scan = lambda: _kernels.c3_pair_scan(mask, t.rows, t.cols, t.starts,
+                                             1000)
+        scan()  # numpy's lazy imports are not the scan's memory
+        got, peak = _peak(scan)
+        assert len(got) == 0 and groups == 42504
+        budget = (4 * 8 + 1) * _kernels.CLEAN_CELLS
+        assert peak < budget + (8 + 8 + 1) * groups + (64 << 10)
+
     def test_faults_scan_a_one_byte_mask(self, monkeypatch):
         # _CellTable.faults gathers from grid != STAR, not the int32 grid
         seen = []

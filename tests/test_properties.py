@@ -54,15 +54,18 @@ def scan_grids(draw):
 
 @settings(max_examples=200)
 @given(scan_grids(), st.sampled_from([1, 3, 7, 20, 64, 1 << 18, 1 << 22]),
-       st.sampled_from([1, 3, 1000]))
-def test_pair_scan_matches_reference(grid, chunk, listed):
-    # small chunks split groups into bands of block rows and columns; the
-    # counts and the kept pairs match those taken from every pair
+       st.sampled_from([1, 3, 1000]),
+       st.sampled_from([1, 2, 5, 16, 50, 1 << 15, 1 << 20]))
+def test_pair_scan_matches_reference(grid, chunk, listed, clean):
+    # small chunks split groups into bands of block rows and columns, and
+    # the clean check and the pair work tile them each to their own budget;
+    # the counts and the kept pairs match those taken from every pair
     t = _CellTable(grid)
     rows, cols, starts = t.rows, t.cols, t.starts
     vals = grid[rows, cols]
     assert np.array_equal(np.lexsort((rows, cols, vals)), np.arange(vals.size))
-    with mock.patch.object(_kernels, "CHUNK_CELLS", chunk):
+    with mock.patch.object(_kernels, "CHUNK_CELLS", chunk), \
+            mock.patch.object(_kernels, "CLEAN_CELLS", clean):
         got = _kernels.c3_pair_scan(grid, rows, cols, starts, listed)
         # the one-byte non-star mask gives the same counts and pairs
         masked = _kernels.c3_pair_scan(grid != 0, rows, cols, starts, listed)
